@@ -488,3 +488,22 @@ func TestKeyCanonicalForms(t *testing.T) {
 		t.Errorf("hashKey length = %d, want 32 hex chars", len(h))
 	}
 }
+
+// TestSimKeyFormStable pins the canonical form (and so the on-disk file
+// name) of a key written before SimKey grew its Knob field: disk caches
+// and resume journals from earlier binaries must keep resolving. A knob
+// only ever appends a field.
+func TestSimKeyFormStable(t *testing.T) {
+	sk := SimKey{Bench: "vpr", Insts: 20000, Seed: 3, Fwd: 2, Clusters: 8, Stack: "s"}
+	const want = "v1|sim|bench=vpr|insts=20000|seed=3|fwd=2|epoch=0|clusters=8|stack=s|exact=false"
+	if sk.String() != want {
+		t.Errorf("SimKey = %q, want %q", sk.String(), want)
+	}
+	if got, wantHash := hashKey(sk.String()), "c9f59b66ae48266ff9a9d2e8da06e7c9"; got != wantHash {
+		t.Errorf("hashKey = %s, want %s", got, wantHash)
+	}
+	sk.Knob = "loc=win-loc,window=16"
+	if got := sk.String(); got != want+"|knob=loc=win-loc,window=16" {
+		t.Errorf("knobbed SimKey = %q", got)
+	}
+}

@@ -44,12 +44,29 @@ type SimKey struct {
 	// Need) so a cached artifact always carries exactly the
 	// instrumentation its key promises.
 	TrackExact bool
+	// Knob, when set, is an ablation's departure from Stack (a window
+	// size, a bypass limit, a predictor seed tag, ...) in the
+	// submitter's canonical encoding; the engine treats it as opaque. It
+	// must not contain '|'.
+	Knob string
 }
 
-// String returns the canonical form used for dedup and hashing.
+// String returns the canonical form used for dedup and hashing. The
+// knob field appears only when set, so keys without one keep the form
+// they always had and existing disk caches and resume journals still
+// resolve.
 func (k SimKey) String() string {
-	return fmt.Sprintf("v%d|sim|bench=%s|insts=%d|seed=%d|fwd=%d|epoch=%d|clusters=%d|stack=%s|exact=%t",
+	s := fmt.Sprintf("v%d|sim|bench=%s|insts=%d|seed=%d|fwd=%d|epoch=%d|clusters=%d|stack=%s|exact=%t",
 		schemaVersion, k.Bench, k.Insts, k.Seed, k.Fwd, k.EpochLen, k.Clusters, k.Stack, k.TrackExact)
+	if k.Knob != "" {
+		s += "|knob=" + k.Knob
+	}
+	return s
+}
+
+// Trace returns the key of the trace the simulation runs over.
+func (k SimKey) Trace() TraceKey {
+	return TraceKey{Bench: k.Bench, Insts: k.Insts, Seed: k.Seed}
 }
 
 // hashKey content-addresses a canonical key string for on-disk file

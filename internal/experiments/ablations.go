@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/critpath"
-	"clustersim/internal/machine"
-	"clustersim/internal/predictor"
 	"clustersim/internal/stats"
-	"clustersim/internal/steer"
-	"clustersim/internal/xrand"
 )
 
 // FwdSweepResult reproduces the paper's Section 2.1 sensitivity note
@@ -91,35 +86,14 @@ func StallSweep(opts Options) (*StallSweepResult, error) {
 		cols[i] = fmt.Sprintf("thr=%.2f", t)
 	}
 	tbl := &stats.Table{Title: "Stall-over-steer threshold ablation (8x1w normalized CPI)", Columns: cols}
+	// The default threshold's point is the plain stall-over-steer stack
+	// (knob.String encodes it as such), shared with Figure 14.
+	knobs := make([]knob, len(thresholds))
+	for i, thr := range thresholds {
+		knobs[i] = knob{stall: thr}
+	}
 	rows, err := parBench(opts, func(bench string) ([]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, 0, len(thresholds))
-		for _, thr := range thresholds {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			hooks := machine.Hooks{
-				Binary: predictor.NewDefaultBinary(),
-				LoC:    predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "loc"))),
-			}
-			det := critpath.NewDetector(hooks.Binary, hooks.LoC)
-			hooks.OnEpoch = det.OnEpoch
-			m, err := machine.New(cfg, tr, &steer.StallOverSteer{Threshold: thr}, hooks)
-			if err != nil {
-				return nil, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			vals = append(vals, res.CPI()/base.res.CPI())
-		}
-		return vals, nil
+		return normalizedCPIs(opts, ablationKeys(opts, bench, StackStall, knobs...))
 	})
 	if err != nil {
 		return nil, err

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/critpath"
-	"clustersim/internal/machine"
-	"clustersim/internal/predictor"
 	"clustersim/internal/stats"
-	"clustersim/internal/steer"
-	"clustersim/internal/xrand"
 )
 
 // SlackStudyResult quantifies Section 4's argument for LoC over slack:
@@ -69,37 +64,11 @@ func DetectorCompare(opts Options) (*DetectorCompareResult, error) {
 	opts = opts.withDefaults()
 	t := &stats.Table{Title: "Criticality detectors: epoch-graph vs token-passing (8x1w, stall-over-steer)",
 		Columns: []string{"graph", "token"}}
-	rows, err := parBench(opts, func(bench string) ([2]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		graph, err := runStack(opts, bench, tr, 8, StackStall, false)
-		if err != nil {
-			return [2]float64{}, err
-		}
-
-		// Token-detector-driven machine.
-		cfg := machine.NewConfig(8)
-		cfg.FwdLatency = opts.Fwd
-		cfg.SchedMode = machine.SchedLoC
-		binary := predictor.NewDefaultBinary()
-		loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "tok-loc")))
-		det := critpath.NewTokenDetector(binary, loc, xrand.New(seedFor(opts.Seed, bench, "tok")))
-		m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-			Binary: binary, LoC: loc, OnCommitInst: det.OnCommit,
-		})
-		if err != nil {
-			return [2]float64{}, err
-		}
-		det.Bind(m)
-		tokRes := m.Run()
-		return [2]float64{graph.res.CPI() / base.res.CPI(),
-			tokRes.CPI() / base.res.CPI()}, nil
+	// The graph column is the plain stall-over-steer stack; the token
+	// column swaps in the token-passing detector with its own seeds.
+	rows, err := parBench(opts, func(bench string) ([]float64, error) {
+		return normalizedCPIs(opts, ablationKeys(opts, bench, StackStall,
+			knob{}, knob{locTag: "tok-loc", detector: "token"}))
 	})
 	if err != nil {
 		return nil, err
@@ -133,35 +102,12 @@ type WindowSweepResult struct {
 func WindowSweep(opts Options) (*WindowSweepResult, error) {
 	opts = opts.withDefaults()
 	r := &WindowSweepResult{Windows: []int{8, 16, 32}}
+	knobs := make([]knob, len(r.Windows))
+	for i, win := range r.Windows {
+		knobs[i] = knob{locTag: "win-loc", window: win}
+	}
 	rows, err := parBench(opts, func(bench string) ([]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(r.Windows))
-		for i, win := range r.Windows {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			cfg.WindowPerCluster = win
-			binary := predictor.NewDefaultBinary()
-			loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "win-loc")))
-			det := critpath.NewDetector(binary, loc)
-			m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-				Binary: binary, LoC: loc, OnEpoch: det.OnEpoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			vals[i] = res.CPI() / base.res.CPI()
-		}
-		return vals, nil
+		return normalizedCPIs(opts, ablationKeys(opts, bench, StackStall, knobs...))
 	})
 	if err != nil {
 		return nil, err
@@ -204,35 +150,12 @@ type BandwidthSweepResult struct {
 func BandwidthSweep(opts Options) (*BandwidthSweepResult, error) {
 	opts = opts.withDefaults()
 	r := &BandwidthSweepResult{Limits: []int{0, 2, 1}}
+	knobs := make([]knob, len(r.Limits))
+	for i, lim := range r.Limits {
+		knobs[i] = knob{locTag: "bw-loc", bypass: lim}
+	}
 	rows, err := parBench(opts, func(bench string) ([]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(r.Limits))
-		for i, lim := range r.Limits {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			cfg.BypassPerCluster = lim
-			binary := predictor.NewDefaultBinary()
-			loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "bw-loc")))
-			det := critpath.NewDetector(binary, loc)
-			m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-				Binary: binary, LoC: loc, OnEpoch: det.OnEpoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			vals[i] = res.CPI() / base.res.CPI()
-		}
-		return vals, nil
+		return normalizedCPIs(opts, ablationKeys(opts, bench, StackStall, knobs...))
 	})
 	if err != nil {
 		return nil, err

@@ -176,7 +176,7 @@ func TestChaosVariantBatch(t *testing.T) {
 		opts := chaosOpts(eng)
 		var ipcs []float64
 		for _, bench := range opts.Benchmarks {
-			arts, err := simVariants(opts, bench, grid, StackFocused, false, engine.NeedResult)
+			arts, err := simVariants(opts, stackKeys(opts, bench, grid, StackFocused, false), engine.NeedResult)
 			if err != nil {
 				t.Fatalf("simVariants %s: %v", bench, err)
 			}

@@ -30,7 +30,18 @@ var determinismDrivers = []struct {
 	{"figure15", func(o Options) (renderer, error) { return Figure15(o) }},
 	{"loc-oracle", func(o Options) (renderer, error) { return LoCOracle(o) }},
 	{"consumers", func(o Options) (renderer, error) { return Consumers(o) }},
+	{"stall-sweep", func(o Options) (renderer, error) { return StallSweep(o) }},
+	{"window-sweep", func(o Options) (renderer, error) { return WindowSweep(o) }},
+	{"bandwidth-sweep", func(o Options) (renderer, error) { return BandwidthSweep(o) }},
+	{"predictor-sweep", func(o Options) (renderer, error) { return PredictorSweep(o) }},
+	{"group-steer", func(o Options) (renderer, error) { return GroupSteer(o) }},
+	{"future-work", func(o Options) (renderer, error) { return FutureWork(o) }},
+	{"detector-compare", func(o Options) (renderer, error) { return DetectorCompare(o) }},
 }
+
+// sweepDrivers are the ablation sweeps among determinismDrivers: every
+// run they submit is a cached engine job keyed by its knob.
+var sweepDrivers = determinismDrivers[len(determinismDrivers)-7:]
 
 // determinismOpts keeps the suite fast while exercising multi-benchmark
 // parallelism in every driver.

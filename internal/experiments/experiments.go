@@ -19,17 +19,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
-	"clustersim/internal/critpath"
 	"clustersim/internal/engine"
-	"clustersim/internal/machine"
-	"clustersim/internal/predictor"
-	"clustersim/internal/steer"
 	"clustersim/internal/trace"
 	"clustersim/internal/workload"
-	"clustersim/internal/xrand"
 )
 
 // Options configures an experiment run.
@@ -121,13 +115,6 @@ const (
 // Stacks returns the Figure 14 progression in order.
 func Stacks() []Stack { return []Stack{StackFocused, StackLoC, StackStall, StackProactive} }
 
-// runOut bundles one simulation's artifacts.
-type runOut struct {
-	m     *machine.Machine
-	res   machine.Result
-	exact *predictor.Exact
-}
-
 // seedFor derives a per-(benchmark, use) deterministic seed.
 func seedFor(base uint64, bench string, use string) uint64 {
 	h := base
@@ -141,10 +128,13 @@ func seedFor(base uint64, bench string, use string) uint64 {
 // content-addressed trace cache; every driver submitting the same
 // (bench, insts, seed) shares one generation.
 func genTrace(opts Options, bench string) (*trace.Trace, error) {
-	eng := opts.engine()
-	key := engine.TraceKey{Bench: bench, Insts: opts.Insts, Seed: opts.Seed}
-	return eng.TraceCtx(opts.Ctx, key, func() (*trace.Trace, error) {
-		return workload.Generate(bench, opts.Insts, opts.Seed)
+	return loadTrace(opts, engine.TraceKey{Bench: bench, Insts: opts.Insts, Seed: opts.Seed})
+}
+
+// loadTrace returns the trace for key via the engine's trace cache.
+func loadTrace(opts Options, key engine.TraceKey) (*trace.Trace, error) {
+	return opts.engine().TraceCtx(opts.Ctx, key, func() (*trace.Trace, error) {
+		return workload.Generate(key.Bench, key.Insts, key.Seed)
 	})
 }
 
@@ -178,15 +168,9 @@ func simKey(opts Options, bench string, clusters int, stack Stack, trackExact bo
 // alone lets disk-cached summaries satisfy the job without simulating.
 // Identical jobs submitted by different figures simulate once.
 func sim(opts Options, bench string, clusters int, stack Stack, trackExact bool, need engine.Need) (*engine.Artifact, error) {
-	return opts.engine().SimCtx(opts.Ctx, simKey(opts, bench, clusters, stack, trackExact), need, func() (*engine.Artifact, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		// Result-only jobs recycle their machine into the pool the moment
-		// the run finishes; only callers that will actually read events
-		// keep the machine alive in the artifact.
-		return simulate(opts, bench, tr, clusters, stack, trackExact, need&engine.NeedMachine != 0)
+	key := simKey(opts, bench, clusters, stack, trackExact)
+	return opts.engine().SimCtx(opts.Ctx, key, need, func() (*engine.Artifact, error) {
+		return simulateOne(opts, key, need&engine.NeedMachine != 0)
 	})
 }
 
@@ -197,182 +181,17 @@ func sim(opts Options, bench string, clusters int, stack Stack, trackExact bool,
 // 16-scenario replay and the slack relaxation each happen once per run —
 // in any process with a warm disk cache, zero times.
 func analysis(opts Options, bench string, clusters int, stack Stack) (engine.CritSummary, error) {
-	return opts.engine().AnalysisCtx(opts.Ctx, simKey(opts, bench, clusters, stack, false), func() (*engine.Artifact, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		return simulate(opts, bench, tr, clusters, stack, false, true)
+	key := simKey(opts, bench, clusters, stack, false)
+	return opts.engine().AnalysisCtx(opts.Ctx, key, func() (*engine.Artifact, error) {
+		return simulateOne(opts, key, true)
 	})
 }
 
-// runStack is the compatibility wrapper for drivers that still want the
-// raw (machine, result, exact) triple: it routes through the engine so
-// the run is cached and deduplicated, requesting the live machine (and
-// the exact tracker when trackExact).
-func runStack(opts Options, bench string, _ *trace.Trace, clusters int, stack Stack, trackExact bool) (runOut, error) {
-	need := engine.NeedResult | engine.NeedMachine
-	if trackExact {
-		need |= engine.NeedExact
-	}
-	a, err := sim(opts, bench, clusters, stack, trackExact, need)
-	if err != nil {
-		return runOut{}, err
-	}
-	return runOut{m: a.Machine(), res: a.Res, exact: a.Exact()}, nil
-}
-
-// stackSetup is the fully-built machine recipe for one (benchmark,
-// clusters, stack) job: everything in it is determined by (opts, bench,
-// clusters, stack, trackExact) — the purity contract the engine's
-// caching relies on.
-type stackSetup struct {
-	cfg   machine.Config
-	pol   machine.SteerPolicy
-	hooks machine.Hooks
-	det   *critpath.Detector // nil for StackDepBased
-	exact *predictor.Exact   // nil unless trackExact (and never for depbased)
-}
-
-// buildStack constructs the machine configuration, policy, hooks and
-// (for criticality stacks) the online detector for one job, without
-// running anything. simulate and simVariants share it so the solo and
-// fused submission paths build byte-identical machines.
-func buildStack(opts Options, bench string, clusters int, stack Stack, trackExact bool) (stackSetup, error) {
-	cfg := machine.NewConfig(clusters)
-	cfg.FwdLatency = opts.Fwd
-
-	if stack == StackDepBased {
-		return stackSetup{cfg: cfg, pol: steer.DepBased{},
-			hooks: machine.Hooks{EpochLen: opts.EpochLen}}, nil
-	}
-
-	var pol machine.SteerPolicy
-	hooks := machine.Hooks{EpochLen: opts.EpochLen}
-	switch stack {
-	case StackFocused:
-		cfg.SchedMode = machine.SchedBinaryCritical
-		pol = steer.Focused{}
-		hooks.Binary = predictor.NewDefaultBinary()
-	case StackLoC:
-		cfg.SchedMode = machine.SchedLoC
-		pol = steer.LoC{}
-	case StackStall:
-		cfg.SchedMode = machine.SchedLoC
-		pol = &steer.StallOverSteer{}
-	case StackProactive:
-		cfg.SchedMode = machine.SchedLoC
-		pol = steer.NewProactive()
-	default:
-		return stackSetup{}, fmt.Errorf("experiments: unknown stack %q", stack)
-	}
-	if stack != StackFocused {
-		hooks.LoC = predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "loc")))
-		// The binary predictor stays attached so Figure 6's
-		// predicted-critical attribution is meaningful on every stack.
-		hooks.Binary = predictor.NewDefaultBinary()
-	}
-
-	det := critpath.NewDetector(hooks.Binary, hooks.LoC)
-	var exact *predictor.Exact
-	if trackExact {
-		exact = predictor.NewExact()
-		det.TrackExact(exact)
-	}
-	hooks.OnEpoch = det.OnEpoch
-	return stackSetup{cfg: cfg, pol: pol, hooks: hooks, det: det, exact: exact}, nil
-}
-
-// artifactFor wraps one finished run, recycling the machine into the
-// pool when the caller never reads per-instruction events.
-func artifactFor(m *machine.Machine, res machine.Result, exact *predictor.Exact, keepMachine bool) *engine.Artifact {
-	if !keepMachine {
-		machine.Recycle(m)
-		return engine.NewResultArtifact(res, exact)
-	}
-	return engine.NewArtifact(m, res, exact)
-}
-
-// simulate builds and runs one machine under the given policy stack,
-// with the online criticality detector training the appropriate
-// predictors. trackExact additionally records unlimited-precision
-// criticality frequencies. This is the engine job body; everything it
-// does is determined by (opts, bench, clusters, stack, trackExact).
-// keepMachine controls the machine's lifetime: callers that never read
-// per-instruction events let the run return a result-only artifact and
-// recycle the machine (with its megabytes of event log) into the pool.
-func simulate(opts Options, bench string, tr *trace.Trace, clusters int, stack Stack, trackExact, keepMachine bool) (*engine.Artifact, error) {
-	su, err := buildStack(opts, bench, clusters, stack, trackExact)
+// simulateOne runs one key as a one-variant batch (see simulate).
+func simulateOne(opts Options, key engine.SimKey, keepMachine bool) (*engine.Artifact, error) {
+	arts, err := simulate(opts, []engine.SimKey{key}, keepMachine)
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.NewPooled(su.cfg, tr, su.pol, su.hooks)
-	if err != nil {
-		return nil, err
-	}
-	if su.det != nil {
-		su.det.Bind(m)
-	}
-	res := m.Run()
-	return artifactFor(m, res, su.exact, keepMachine), nil
-}
-
-// simVariants submits every cluster geometry of one (benchmark, stack)
-// sweep as a single batch: cached geometries are served individually
-// under their usual SimKeys, and whatever remains is computed by one
-// fused machine.SimulateVariants call that decodes the trace, builds the
-// producer index and trains the shared front-end once for the whole
-// sweep. The returned artifacts align with clustersList.
-func simVariants(opts Options, bench string, clustersList []int, stack Stack, trackExact bool, need engine.Need) ([]*engine.Artifact, error) {
-	keys := make([]engine.SimKey, len(clustersList))
-	for i, k := range clustersList {
-		keys[i] = simKey(opts, bench, k, stack, trackExact)
-	}
-	return opts.engine().SimVariantsCtx(opts.Ctx, keys, need, func(miss []int) ([]*engine.Artifact, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		variants := make([]machine.Variant, len(miss))
-		setups := make([]stackSetup, len(miss))
-		for j, i := range miss {
-			su, err := buildStack(opts, bench, clustersList[i], stack, trackExact)
-			if err != nil {
-				return nil, err
-			}
-			setups[j] = su
-			v := machine.Variant{Config: su.cfg, Pol: su.pol, Hooks: su.hooks}
-			if su.det != nil {
-				det := su.det
-				v.Setup = func(m *machine.Machine) { det.Bind(m) }
-			}
-			variants[j] = v
-		}
-		// Fan the per-variant replays out over the engine's per-job
-		// worker share (results are order-stitched and byte-identical
-		// under any fan-out), and skip event-log materialization when
-		// the caller keeps only Results — the NewResultArtifact case.
-		eng := opts.engine()
-		workers := opts.ReplayWorkers
-		if workers <= 0 {
-			workers = eng.ReplayWorkers()
-		}
-		keepMachine := need&engine.NeedMachine != 0
-		// ResultOnly is safe even when NeedExact is set: exact tracking
-		// rides on a detector (Setup != nil), which makes those variants
-		// elide-ineligible per-variant inside the machine layer.
-		outs, stats, err := machine.SimulateVariantsOpts(tr, variants, machine.VariantsOptions{
-			Workers:    workers,
-			ResultOnly: !keepMachine,
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng.NoteReplay(stats)
-		arts := make([]*engine.Artifact, len(miss))
-		for j := range outs {
-			arts[j] = artifactFor(outs[j].M, outs[j].Res, setups[j].exact, keepMachine)
-		}
-		return arts, nil
-	})
+	return arts[0], nil
 }

@@ -90,17 +90,7 @@ func Figure4(opts Options) (*Figure4Result, error) {
 		// batch: one trace decode, one producer index, one shared
 		// front-end profile — cached misses only, under the same SimKeys
 		// solo submissions use.
-		arts, err := simVariants(opts, bench, append([]int{1}, clusterCounts...),
-			StackFocused, false, engine.NeedResult)
-		if err != nil {
-			return nil, err
-		}
-		base := arts[0]
-		var vals []float64
-		for _, out := range arts[1:] {
-			vals = append(vals, out.Res.CPI()/base.Res.CPI())
-		}
-		return vals, nil
+		return normalizedCPIs(opts, stackKeys(opts, bench, append([]int{1}, clusterCounts...), StackFocused, false))
 	})
 	if err != nil {
 		return nil, err

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/critpath"
-	"clustersim/internal/machine"
-	"clustersim/internal/predictor"
 	"clustersim/internal/stats"
-	"clustersim/internal/steer"
-	"clustersim/internal/xrand"
 )
 
 // FutureWorkResult tests the paper's closing hypothesis: the final ~5%
@@ -28,34 +23,9 @@ func FutureWork(opts Options) (*FutureWorkResult, error) {
 	opts = opts.withDefaults()
 	t := &stats.Table{Title: "Future work: readiness-aware load balancing (8x1w)",
 		Columns: []string{"proactive", "readybalance"}}
-	rows, err := parBench(opts, func(bench string) ([2]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		var out [2]float64
-		for i, pol := range []machine.SteerPolicy{steer.NewProactive(), steer.NewReadyBalance()} {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			binary := predictor.NewDefaultBinary()
-			loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "fw-loc")))
-			det := critpath.NewDetector(binary, loc)
-			m, err := machine.New(cfg, tr, pol, machine.Hooks{
-				Binary: binary, LoC: loc, OnEpoch: det.OnEpoch,
-			})
-			if err != nil {
-				return [2]float64{}, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			out[i] = res.CPI() / base.res.CPI()
-		}
-		return out, nil
+	rows, err := parBench(opts, func(bench string) ([]float64, error) {
+		return normalizedCPIs(opts, ablationKeys(opts, bench, StackProactive,
+			knob{locTag: "fw-loc"}, knob{locTag: "fw-loc", policy: "readybalance"}))
 	})
 	if err != nil {
 		return nil, err

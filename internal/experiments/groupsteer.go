@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/critpath"
-	"clustersim/internal/machine"
-	"clustersim/internal/predictor"
 	"clustersim/internal/stats"
-	"clustersim/internal/steer"
-	"clustersim/internal/xrand"
 )
 
 // GroupSteerResult quantifies Section 8's implementation concern: "even
@@ -35,35 +30,9 @@ func GroupSteer(opts Options) (*GroupSteerResult, error) {
 	opts = opts.withDefaults()
 	t := &stats.Table{Title: "Section 8: serial vs group (start-of-cycle) steering (8x1w, stall-over-steer)",
 		Columns: []string{"serial", "group"}}
-	rows, err := parBench(opts, func(bench string) ([2]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		var out [2]float64
-		for i, group := range []bool{false, true} {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			cfg.GroupSteering = group
-			binary := predictor.NewDefaultBinary()
-			loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "gs-loc")))
-			det := critpath.NewDetector(binary, loc)
-			m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-				Binary: binary, LoC: loc, OnEpoch: det.OnEpoch,
-			})
-			if err != nil {
-				return [2]float64{}, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			out[i] = res.CPI() / base.res.CPI()
-		}
-		return out, nil
+	rows, err := parBench(opts, func(bench string) ([]float64, error) {
+		return normalizedCPIs(opts, ablationKeys(opts, bench, StackStall,
+			knob{locTag: "gs-loc"}, knob{locTag: "gs-loc", group: true}))
 	})
 	if err != nil {
 		return nil, err

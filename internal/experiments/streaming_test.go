@@ -62,7 +62,7 @@ func streamedTrace(t *testing.T, bench string) (*trace.Store, *trace.Trace) {
 // comparison. The caller owns the machine.
 func runFocused(t *testing.T, tr *trace.Trace) (*machine.Machine, machine.Result) {
 	t.Helper()
-	su, err := buildStack(Options{Fwd: 2}, "gate", 4, StackFocused, false)
+	su, err := buildStack(simKey(Options{Fwd: 2}, "gate", 4, StackFocused, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func runFocused(t *testing.T, tr *trace.Trace) (*machine.Machine, machine.Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	su.det.Bind(m)
+	su.bind(m)
 	return m, m.Run()
 }
 

@@ -88,7 +88,7 @@ func TestVariantBatchPartialWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	missesBefore := opts.Engine.Summary().SimMisses
-	arts, err := simVariants(opts, "gzip", grid, StackFocused, false, engine.NeedResult)
+	arts, err := simVariants(opts, stackKeys(opts, "gzip", grid, StackFocused, false), engine.NeedResult)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -482,13 +482,13 @@ func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 	lat := int64(m.soa.lat[seq])
 	l1miss := false
 	if fl&soaLoad != 0 {
-		accessLat, hit := m.l1.Access(m.soa.addr[seq])
+		accessLat, hit := m.l1.Access(m.tr.Insts[seq].Addr)
 		if !hit {
 			l1miss = true
 		}
 		lat = loadAgenCycles + int64(accessLat)
 	} else if fl&soaStore != 0 {
-		m.l1.Access(m.soa.addr[seq]) // write-allocate; latency hidden by commit
+		m.l1.Access(m.tr.Insts[seq].Addr) // write-allocate; latency hidden by commit
 	}
 	complete := m.cycle + lat
 	var remoteAvail int64

@@ -258,8 +258,7 @@ func (m *Machine) Reinit(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hoo
 	}
 	m.onEpoch, m.onCommitInst = hooks.OnEpoch, hooks.OnCommitInst
 	m.oracle = false
-	m.fused, m.profile, m.soa, m.kern = false, nil, nil, nil
-	m.fr, m.frDeferred, m.frNoReset = nil, false, false
+	m.detachReplay()
 
 	if m.elide {
 		// Zero-materialization replay: nothing reads the event log, so
@@ -572,10 +571,6 @@ func (m *Machine) reset() {
 		// Every field is rewritten before anyone reads it (see the field
 		// comment); clearing 112 bytes per instruction here would be pure
 		// memory traffic.
-	} else if m.soa != nil && len(m.soa.evClear) >= len(m.events) {
-		// Fused replay: one bulk copy from the shared pre-reset template,
-		// field-for-field identical to the per-event reset below.
-		copy(m.events, m.soa.evClear[:len(m.events)])
 	} else {
 		for i := range m.events {
 			m.events[i].reset()

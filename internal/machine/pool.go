@@ -36,6 +36,16 @@ func newPooledOpt(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks, eli
 	return m, nil
 }
 
+// detachReplay drops the fused-replay state SimulateVariants attaches
+// for one run: the batch's packed working set and the SoA, branch
+// profile and kernel memos shared by every run over the trace. None of
+// it is read after Run returns, and a machine that kept it would pin
+// per-trace megabytes wherever the machine itself is retained.
+func (m *Machine) detachReplay() {
+	m.fused, m.profile, m.soa, m.kern = false, nil, nil, nil
+	m.fr, m.frDeferred, m.frNoReset = nil, false, false
+}
+
 // Recycle returns m to the pool. The caller must drop every reference
 // into m — including Events() slices and anything retaining them — before
 // calling: a recycled machine may be rebound and rerun by any later
@@ -51,10 +61,7 @@ func Recycle(m *Machine) {
 	m.binary, m.loc = nil, nil
 	m.onEpoch, m.onCommitInst = nil, nil
 	m.viewBuf = SteerView{producers: m.viewBuf.producers[:0]}
-	// Fused-run state is shared across a SimulateVariants batch and can
-	// pin megabytes (the event template); never carry it into the pool.
-	m.fused, m.profile, m.soa, m.kern = false, nil, nil, nil
-	m.fr, m.frDeferred, m.frNoReset = nil, false, false
+	m.detachReplay()
 	m.elide = false
 	pool.Put(m)
 }

@@ -34,8 +34,8 @@ import (
 //
 //  2. Trace SoA (traceSoA). Dense per-instruction arrays of the facts
 //     the issue loop reads per candidate (FU class, latency, op flags)
-//     plus a pre-reset event template, built once and shared read-only
-//     by every variant's replay.
+//     and the consumer adjacency, built once per trace and shared
+//     read-only by every replay over it.
 //
 //  3. Steering kernel (kernelState). Stateless policies advertise a
 //     KernelSpec; the machine then replicates their Steer decision
@@ -182,16 +182,11 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 
 	// Prepare phase: profiles per predictor geometry, kernels with
 	// cross-variant memo sharing, eligibility flags — all serial.
-	profiles := map[uint]*frontProfile{}
 	preps := make([]variantPrep, len(variants))
 	var bank memoBank
 	for i := range variants {
 		v := &variants[i]
-		p := profiles[v.Config.GshareBits]
-		if p == nil {
-			p = newFrontProfile(tr, v.Config.GshareBits)
-			profiles[v.Config.GshareBits] = p
-		}
+		p := sharedFrontProfile(tr, v.Config.GshareBits)
 		preps[i].profile = p
 		// The profile sharing guard, evaluated here so the stats are a
 		// pure function of the prepare phase (useFrontProfile re-checks
@@ -201,7 +196,7 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 		} else {
 			stats.BpredFallback++
 		}
-		preps[i].kern = buildKernel(v, soa, &stats, &bank)
+		preps[i].kern = buildKernel(v, tr, &stats, &bank)
 		hookFree := v.Hooks.OnEpoch == nil && v.Hooks.OnCommitInst == nil && v.Setup == nil
 		// The profile guard (useFrontProfile) is deterministic from the
 		// config and trace alone; profiles built here always pass it.
@@ -322,8 +317,11 @@ func runVariant(tr *trace.Trace, soa *traceSoA, v *Variant, prep *variantPrep, f
 	// profile, which is therefore the one extra requirement.
 	m.frNoReset = m.frDeferred && m.profile != nil
 	res := m.Run()
-	// The batch owns fr; the machine outlives the call.
-	m.fr, m.frDeferred, m.frNoReset = nil, false, false
+	// The machine outlives the call but the replay state does not: fr
+	// belongs to the batch, and the SoA, branch profile and kernel memos
+	// are shared with every other run over the trace. A returned machine
+	// must not pin any of it outside its owner's accounting.
+	m.detachReplay()
 	return m, res, nil
 }
 
@@ -351,13 +349,40 @@ type frontProfile struct {
 	miss  []uint64 // bitset over seq: set iff that branch mispredicted
 }
 
+// profileKey memoizes one trace's front profile per predictor geometry.
+type profileKey struct{ bits uint }
+
+// sharedFrontProfile returns tr's front profile for bits, built on first
+// use and then shared by every batch over tr for the trace's lifetime.
+func sharedFrontProfile(tr *trace.Trace, bits uint) *frontProfile {
+	return tr.Derived(profileKey{bits}, func() any { return newFrontProfile(tr, bits) }).(*frontProfile)
+}
+
+// profileGshares recycles the predictor newFrontProfile trains: its
+// 2^GshareBits-entry table is garbage once the profile is recorded, and
+// a server simulating many small fresh traces would otherwise allocate
+// one per trace.
+var profileGshares sync.Pool
+
+type scratchGshare struct {
+	bits uint
+	g    *bpred.Gshare
+}
+
 // newFrontProfile trains a fresh gshare over tr's branches in program
 // order — exactly the update sequence fetch performs — and records the
 // outcome per branch.
 func newFrontProfile(tr *trace.Trace, bits uint) *frontProfile {
 	n := tr.Len()
 	p := &frontProfile{bits: bits, insts: n, miss: make([]uint64, (n+63)/64)}
-	bp := bpred.NewGshare(bits)
+	sg, _ := profileGshares.Get().(*scratchGshare)
+	if sg == nil || sg.bits != bits {
+		sg = &scratchGshare{bits: bits, g: bpred.NewGshare(bits)}
+	} else {
+		sg.g.Reset()
+	}
+	defer profileGshares.Put(sg)
+	bp := sg.g
 	for i := range tr.Insts {
 		in := &tr.Insts[i]
 		if in.Op.IsBranch() {
@@ -389,16 +414,15 @@ func (m *Machine) useFrontProfile(p *frontProfile) bool {
 
 // traceSoA holds config-independent per-instruction facts in dense
 // arrays so the per-variant replays read sequential bytes instead of
-// striding through the AoS trace, plus a pre-reset event template that
-// turns the per-run event-log reset into one copy. Built once per
-// SimulateVariants call and shared read-only across variants.
+// striding through the AoS trace. Built once per trace (sharedTraceSoA)
+// and shared read-only by every replay over it, so it lives as long as
+// the trace: it keeps only what the issue loop reads per candidate, and
+// fields read once per issue (the memory address) or once per batch
+// (the PC) stay in the trace.
 type traceSoA struct {
-	fu      []uint8 // isa.FU class per seq
-	lat     []uint16
-	flags   []uint8
-	addr    []uint64 // memory address (loads/stores; 0 otherwise)
-	pc      []uint64
-	evClear []Event // every field in its pre-simulation state
+	fu    []uint8 // isa.FU class per seq
+	lat   []uint16
+	flags []uint8
 
 	// Producer CSR (shared with the trace) plus its transpose: the
 	// consumers of p are consIdx[consOff[p]:consOff[p+1]], in program
@@ -416,36 +440,23 @@ const (
 	soaBranch
 )
 
-// soaCache memoizes the last trace's SoA: sweeps and benchmarks call
-// SimulateVariants many times over one trace, and the SoA (notably its
-// event template) is the per-call setup cost. One entry suffices — a
-// different trace just rebuilds — and keying by pointer is sound
-// because the cache's own reference keeps the keyed trace alive, so its
-// address cannot be recycled for a different trace.
-var soaCache struct {
-	sync.Mutex
-	tr  *trace.Trace
-	soa *traceSoA
-}
+// soaKey memoizes a trace's SoA on the trace itself.
+type soaKey struct{}
 
+// sharedTraceSoA returns tr's SoA. Sweeps, single runs and benchmarks
+// call SimulateVariants many times over one trace, often interleaved
+// with other traces on other workers, so the SoA is memoized per trace
+// (and freed with it) rather than rebuilt per call.
 func sharedTraceSoA(tr *trace.Trace) *traceSoA {
-	soaCache.Lock()
-	defer soaCache.Unlock()
-	if soaCache.tr != tr {
-		soaCache.tr, soaCache.soa = tr, newTraceSoA(tr)
-	}
-	return soaCache.soa
+	return tr.Derived(soaKey{}, func() any { return newTraceSoA(tr) }).(*traceSoA)
 }
 
 func newTraceSoA(tr *trace.Trace) *traceSoA {
 	n := tr.Len()
 	s := &traceSoA{
-		fu:      make([]uint8, n),
-		lat:     make([]uint16, n),
-		flags:   make([]uint8, n),
-		addr:    make([]uint64, n),
-		pc:      make([]uint64, n),
-		evClear: make([]Event, n),
+		fu:    make([]uint8, n),
+		lat:   make([]uint16, n),
+		flags: make([]uint8, n),
 	}
 	for i := range tr.Insts {
 		in := &tr.Insts[i]
@@ -465,9 +476,6 @@ func newTraceSoA(tr *trace.Trace) *traceSoA {
 			fl |= soaBranch
 		}
 		s.flags[i] = fl
-		s.addr[i] = in.Addr
-		s.pc[i] = in.PC
-		s.evClear[i].reset()
 	}
 	s.prodOff, s.prodIdx = tr.ProducerIndex()
 	s.consOff = make([]int32, n+1)
@@ -575,16 +583,16 @@ type locMemo struct {
 
 // predCritFor returns the criticality memo for b, reusing a state-equal
 // group's array when one exists.
-func (mb *memoBank) predCritFor(b *predictor.Binary, soa *traceSoA, stats *SharingStats) []bool {
+func (mb *memoBank) predCritFor(b *predictor.Binary, tr *trace.Trace, stats *SharingStats) []bool {
 	for i := range mb.bins {
 		if mb.bins[i].pred == b || mb.bins[i].pred.StateEqual(b) {
 			stats.GridShared++
 			return mb.bins[i].arr
 		}
 	}
-	arr := make([]bool, len(soa.pc))
-	for s, pc := range soa.pc {
-		arr[s] = b.Predict(pc)
+	arr := make([]bool, tr.Len())
+	for s := range tr.Insts {
+		arr[s] = b.Predict(tr.Insts[s].PC)
 	}
 	mb.bins = append(mb.bins, binMemo{pred: b, arr: arr})
 	stats.GridGroups++
@@ -593,16 +601,16 @@ func (mb *memoBank) predCritFor(b *predictor.Binary, soa *traceSoA, stats *Shari
 
 // locLevelFor returns the LoC-level memo for l, reusing a state-equal
 // group's array when one exists.
-func (mb *memoBank) locLevelFor(l *predictor.LoC, soa *traceSoA, stats *SharingStats) []uint8 {
+func (mb *memoBank) locLevelFor(l *predictor.LoC, tr *trace.Trace, stats *SharingStats) []uint8 {
 	for i := range mb.locs {
 		if mb.locs[i].pred == l || mb.locs[i].pred.StateEqual(l) {
 			stats.GridShared++
 			return mb.locs[i].arr
 		}
 	}
-	arr := make([]uint8, len(soa.pc))
-	for s, pc := range soa.pc {
-		arr[s] = uint8(l.Level(pc))
+	arr := make([]uint8, tr.Len())
+	for s := range tr.Insts {
+		arr[s] = uint8(l.Level(tr.Insts[s].PC))
 	}
 	mb.locs = append(mb.locs, locMemo{pred: l, arr: arr})
 	stats.GridGroups++
@@ -615,7 +623,7 @@ func (mb *memoBank) locLevelFor(l *predictor.LoC, soa *traceSoA, stats *SharingS
 // the KernelSpec contract), so the remaining writers are the hooks'
 // training callbacks — any of those attached forces live lookups.
 // Memos are deduplicated through bank across the batch (grid fusion).
-func buildKernel(v *Variant, soa *traceSoA, stats *SharingStats, bank *memoBank) *kernelState {
+func buildKernel(v *Variant, tr *trace.Trace, stats *SharingStats, bank *memoBank) *kernelState {
 	kp, ok := v.Pol.(SteerKernel)
 	if !ok {
 		stats.KernelFallback++
@@ -632,13 +640,11 @@ func buildKernel(v *Variant, soa *traceSoA, stats *SharingStats, bank *memoBank)
 		stats.MemoFallback++
 		return k
 	}
-	// The memo passes read the dense PC column instead of striding
-	// through the 64-byte trace records.
 	if v.Hooks.Binary != nil {
-		k.predCrit = bank.predCritFor(v.Hooks.Binary, soa, stats)
+		k.predCrit = bank.predCritFor(v.Hooks.Binary, tr, stats)
 	}
 	if v.Hooks.LoC != nil {
-		k.locLevel = bank.locLevelFor(v.Hooks.LoC, soa, stats)
+		k.locLevel = bank.locLevelFor(v.Hooks.LoC, tr, stats)
 	}
 	stats.MemoUsed++
 	return k

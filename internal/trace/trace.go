@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"clustersim/internal/isa"
 )
@@ -39,6 +40,11 @@ type Trace struct {
 	// prodIdx[prodOff[i]:prodOff[i+1]], in Producers order.
 	prodOff []int32
 	prodIdx []int32
+
+	// derived holds consumers' structures computed from the trace (see
+	// Derived); they live exactly as long as the trace does.
+	derivedMu sync.Mutex
+	derived   map[any]any
 }
 
 // Len returns the number of dynamic instructions.
@@ -113,6 +119,26 @@ func (t *Trace) EnsureProducerIndex() {
 	t.prodOff, t.prodIdx = off, idx
 }
 
+// Derived returns the value memoized on t under key, calling build to
+// compute it on first use. It lets a consumer attach read-only state
+// that is a pure function of the trace — the simulator's dense columns
+// and branch profiles — so that every run over one trace shares it and
+// it is freed with the trace, with no process-wide cache to pin it.
+// Safe for concurrent use; concurrent first calls for one key build once.
+func (t *Trace) Derived(key any, build func() any) any {
+	t.derivedMu.Lock()
+	defer t.derivedMu.Unlock()
+	if v, ok := t.derived[key]; ok {
+		return v
+	}
+	if t.derived == nil {
+		t.derived = map[any]any{}
+	}
+	v := build()
+	t.derived[key] = v
+	return v
+}
+
 // Appender is the sink side of trace construction: the in-memory
 // Builder and the streaming CTR2 Writer both satisfy it, so workload
 // generation can emit to either without knowing which. Writer reports
@@ -157,10 +183,10 @@ func (b *Builder) Len() int { return len(b.tr.Insts) }
 // Trace returns the built trace with its producer index prebuilt. The
 // Builder must not be used afterwards.
 func (b *Builder) Trace() *Trace {
-	t := b.tr
+	t := &Trace{Insts: b.tr.Insts, Deps: b.tr.Deps}
 	b.tr = Trace{}
 	t.EnsureProducerIndex()
-	return &t
+	return t
 }
 
 // Rebuild recomputes dependence annotations from the instruction stream.

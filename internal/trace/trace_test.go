@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -266,5 +268,41 @@ func TestSummarize(t *testing.T) {
 	var empty Stats
 	if empty.Frac(isa.Load) != 0 {
 		t.Fatal("empty stats Frac must be 0")
+	}
+}
+
+// TestDerivedBuildsOncePerKey pins Derived's contract under concurrent
+// first use: every caller of one key gets the value a single build
+// produced, and distinct keys build independently.
+func TestDerivedBuildsOncePerKey(t *testing.T) {
+	tr := Rebuild([]isa.Inst{mkInst(isa.IntALU, 1), mkInst(isa.IntALU, 2, 1)})
+	type key struct{ n int }
+	var builds [2]atomic.Int64
+	var wg sync.WaitGroup
+	got := make([]any, 16)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			k := g % 2
+			got[g] = tr.Derived(key{k}, func() any {
+				builds[k].Add(1)
+				return new(int)
+			})
+		}(g)
+	}
+	wg.Wait()
+	for k := range builds {
+		if n := builds[k].Load(); n != 1 {
+			t.Errorf("key %d built %d times, want 1", k, n)
+		}
+	}
+	for g := range got {
+		if got[g] != got[g%2] {
+			t.Errorf("caller %d got a different value than caller %d", g, g%2)
+		}
+	}
+	if got[0] == got[1] {
+		t.Error("distinct keys share one value")
 	}
 }
