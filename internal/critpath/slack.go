@@ -228,8 +228,16 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		s.BimodalBranchFrac = float64(misBrZero) / float64(misBr)
 	}
 
+	// Sum in PC order: in map order the float sums, and so the cached
+	// summary, would differ between runs in their last bits.
+	pcs := make([]uint64, 0, len(perPC))
+	for pc := range perPC {
+		pcs = append(pcs, pc)
+	}
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
 	var weighted, weight float64
-	for _, xs := range perPC {
+	for _, pc := range pcs {
+		xs := perPC[pc]
 		if len(xs) < 8 {
 			continue
 		}

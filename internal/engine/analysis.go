@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"clustersim/internal/critpath"
 	"clustersim/internal/machine"
@@ -53,14 +52,16 @@ func analysisCanon(key SimKey) string {
 
 // Analysis returns the critical-path analysis for key's run, computing it
 // at most once per process (and at most once per CacheDir across
-// processes). On a full miss it obtains the run via Sim — sharing any
-// cached or in-flight artifact — and analyzes the live machine with a
-// pooled critpath.Analyzer. run simulates the key on a complete miss; it
-// must produce an artifact carrying the live machine (NeedMachine).
+// processes). On a full miss it simulates key with run inside the key's
+// simulation flight — shared with any concurrent Sim submission — and
+// analyzes the live machine with a pooled critpath.Analyzer before the
+// machine is recycled. The run's result is published as a result-only
+// artifact, so a later NeedResult submission of key hits. run must
+// return the live machine with its event log.
 //
-// The analysis is a value: unlike Artifact.Analysis, a cached CritSummary
-// never pins the machine's event log in memory.
-func (e *Engine) Analysis(key SimKey, run func() (*Artifact, error)) (CritSummary, error) {
+// The analysis is a value: a cached CritSummary never pins the
+// machine's event log in memory.
+func (e *Engine) Analysis(key SimKey, run func() (Run, error)) (CritSummary, error) {
 	return e.AnalysisCtx(nil, key, run)
 }
 
@@ -69,7 +70,7 @@ func (e *Engine) Analysis(key SimKey, run func() (*Artifact, error)) (CritSummar
 // analyzing, while other submissions of the same engine are untouched. A
 // nil ctx means no per-submission cancellation (the engine-wide
 // SetContext still applies).
-func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run func() (*Artifact, error)) (CritSummary, error) {
+func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run func() (Run, error)) (CritSummary, error) {
 	canon := analysisCanon(key)
 	for attempt := 0; ; attempt++ {
 		cs, err := e.analysisOnce(ctx, canon, key, run)
@@ -86,7 +87,7 @@ func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run func() (*Artif
 }
 
 // analysisOnce is one lookup-or-compute attempt of AnalysisCtx.
-func (e *Engine) analysisOnce(ctx context.Context, canon string, key SimKey, run func() (*Artifact, error)) (CritSummary, error) {
+func (e *Engine) analysisOnce(ctx context.Context, canon string, key SimKey, run func() (Run, error)) (CritSummary, error) {
 	e.mu.Lock()
 	if ent := e.mem.get(canon); ent != nil && ent.crit != nil {
 		fromJournal := ent.journal
@@ -114,28 +115,11 @@ func (e *Engine) analysisOnce(ctx context.Context, canon string, key SimKey, run
 			return nil, err
 		}
 		e.cAnaMiss.Inc()
-		a, err := e.SimCtx(ctx, key, NeedResult|NeedMachine, run)
+		f, err := e.simFlight(ctx, key, needAnalysis, run)
 		if err != nil {
 			return nil, err
 		}
-		m := a.Machine()
-		if m == nil {
-			return nil, errNoMachine
-		}
-		start := time.Now()
-		cs, err := computeCritSummary(m)
-		if err != nil {
-			return nil, err
-		}
-		e.tAna.Observe(time.Since(start))
-		e.mu.Lock()
-		e.mem.putAnalysis(canon, cs)
-		e.mu.Unlock()
-		if e.diskAvailable() {
-			e.disk.storeAnalysis(canon, cs)
-		}
-		e.journalAnalysis(canon, cs)
-		return cs, nil
+		return f.crit, nil
 	})
 	if err != nil {
 		return CritSummary{}, err

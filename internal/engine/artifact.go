@@ -1,139 +1,111 @@
 package engine
 
 import (
-	"sync"
+	"fmt"
+	"time"
 
-	"clustersim/internal/critpath"
+	"clustersim/internal/listsched"
 	"clustersim/internal/machine"
 	"clustersim/internal/predictor"
 )
 
-// Artifact bundles everything one simulation job produced. Fresh runs
-// carry the live machine (and, for TrackExact keys, the exact tracker);
-// artifacts loaded from the on-disk result cache — or demoted by memory
-// pressure — carry only the Result summary plus any analysis that was
-// computed while the machine was alive.
-//
-// Artifacts are shared between figure drivers, so every accessor is safe
-// for concurrent use; the critical-path analysis is computed once and
-// memoized.
+// Run is one finished simulation as a job hands it to the engine: the
+// live machine, its Result summary and, for TrackExact keys, the exact
+// criticality tracker. The engine derives from M whatever the key's
+// submitters asked for and then recycles M into the machine pool, so no
+// cache entry and no Artifact ever holds a machine.
+type Run struct {
+	M     *machine.Machine
+	Res   machine.Result
+	Exact *predictor.Exact
+}
+
+// Artifact is what the engine keeps of one simulation: derived values
+// only. Every artifact carries the Result summary; a TrackExact run also
+// carries its exact criticality tracker, and a run submitted with
+// NeedHarvest carries the list scheduler's input harvested from its
+// event log. Artifacts are immutable once published, so drivers share
+// them freely.
 type Artifact struct {
 	Res machine.Result
 
-	mu       sync.Mutex
-	m        *machine.Machine
-	exact    *predictor.Exact
-	analysis *critpath.Analysis
-	anErr    error
-	analyzed bool
+	exact   *predictor.Exact
+	harvest *listsched.Input
 }
 
-// NewArtifact wraps a completed run.
-func NewArtifact(m *machine.Machine, res machine.Result, exact *predictor.Exact) *Artifact {
-	return &Artifact{Res: res, m: m, exact: exact}
-}
-
-// resultArtifact wraps a summary loaded from the disk cache.
+// resultArtifact wraps a summary loaded from the disk cache or the
+// resume journal.
 func resultArtifact(res machine.Result) *Artifact {
 	return &Artifact{Res: res}
 }
 
-// NewResultArtifact wraps a run whose machine has already been released
-// — typically recycled to the machine pool by a job whose caller only
-// declared NeedResult. It serves the Result summary (and the exact
-// tracker when given) but cannot serve NeedMachine or Analysis; the
-// engine re-simulates if such a need arrives later.
-func NewResultArtifact(res machine.Result, exact *predictor.Exact) *Artifact {
-	return &Artifact{Res: res, exact: exact}
-}
-
-// Machine returns the live post-run machine, or nil for result-only
-// artifacts. The machine must be treated as read-only.
-func (a *Artifact) Machine() *machine.Machine {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.m
-}
-
 // Exact returns the unlimited-precision criticality tracker (nil unless
-// the job's key set TrackExact and the artifact still holds it).
-func (a *Artifact) Exact() *predictor.Exact {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.exact
-}
+// the job's key set TrackExact and the artifact came from a run rather
+// than the disk cache).
+func (a *Artifact) Exact() *predictor.Exact { return a.exact }
 
-// Analysis returns the critical-path analysis of the run, computing and
-// memoizing it on first call. Concurrent callers share one computation.
-func (a *Artifact) Analysis() (*critpath.Analysis, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.analyzed {
-		if a.m == nil {
-			a.anErr = errNoMachine
-		} else {
-			a.analysis, a.anErr = critpath.AnalyzeRun(a.m)
-		}
-		a.analyzed = true
-	}
-	return a.analysis, a.anErr
-}
+// Harvest returns the list scheduler's input harvested from the run
+// (nil unless the artifact was published for a NeedHarvest submission).
+// It shares the trace with the engine's trace cache; treat it as
+// read-only.
+func (a *Artifact) Harvest() *listsched.Input { return a.harvest }
 
 // satisfies reports whether the artifact can serve every requested need.
-// A memoized analysis lets a demoted artifact keep serving NeedMachine
-// callers that only wanted Analysis — but we cannot know that, so
-// NeedMachine strictly requires the live machine.
 func (a *Artifact) satisfies(need Need) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if need&NeedMachine != 0 && a.m == nil {
-		return false
-	}
-	if need&NeedExact != 0 && a.exact == nil {
-		return false
-	}
-	return true
+	return (need&NeedHarvest == 0 || a.harvest != nil) &&
+		(need&NeedExact == 0 || a.exact != nil)
 }
 
-// demote drops the live machine and exact tracker, keeping the compact
-// Result (and any already-memoized analysis). Returns the bytes freed.
-func (a *Artifact) demote(insts int) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	freed := int64(0)
-	if a.m != nil {
-		a.m = nil
-		freed += machineCost(insts)
+// settle turns one finished run into the derived values need asks for —
+// the harvested scheduler input for NeedHarvest, the critical-path
+// summary for needAnalysis — and recycles the machine. Critical-path
+// time is observed on the analysis timer, apart from simulation time.
+func (e *Engine) settle(key SimKey, need Need, r Run) (*Artifact, *CritSummary, error) {
+	defer machine.Recycle(r.M)
+	if need&NeedExact != 0 && r.Exact == nil {
+		return nil, nil, fmt.Errorf("engine: run for %s returned no exact tracker", key)
 	}
-	if a.exact != nil {
-		a.exact = nil
-		freed += exactCost
+	if need&derived != 0 && (r.M == nil || len(r.M.Events()) == 0) {
+		return nil, nil, fmt.Errorf("engine: run for %s recorded no event log to derive %s from", key, need&derived)
 	}
-	return freed
+	a := &Artifact{Res: r.Res, exact: r.Exact}
+	if need&NeedHarvest != 0 {
+		in := listsched.FromMachineRun(r.M)
+		a.harvest = &in
+	}
+	var cs *CritSummary
+	if need&needAnalysis != 0 {
+		start := time.Now()
+		var err error
+		if cs, err = computeCritSummary(r.M); err != nil {
+			return nil, nil, err
+		}
+		e.tAna.Observe(time.Since(start))
+	}
+	return a, cs, nil
 }
 
-// Cost accounting for the memory cache, in approximate bytes. The
-// dominant term is the machine's per-instruction event log.
+// Cost accounting for the memory cache, in bytes. Derived summaries and
+// result-only artifacts are charged a flat baseCost; harvests and exact
+// trackers are charged what they hold.
 const (
-	bytesPerEvent = 128  // sizeof(machine.Event) rounded up
-	bytesPerInst  = 64   // trace record plus dependence annotations
-	baseCost      = 4096 // map entry, Result, bookkeeping
-	exactCost     = 1 << 16
+	bytesPerInst = 64   // trace record plus dependence annotations
+	baseCost     = 4096 // map entry, Result, bookkeeping
+	// bytesPerExactPC is one static instruction in the exact tracker: an
+	// entry in each of its two uint64→uint64 maps with table slack.
+	bytesPerExactPC = 64
 )
 
-func machineCost(insts int) int64 { return int64(insts) * bytesPerEvent }
-
-// artifactCost estimates the resident size of an artifact for a run of
-// insts instructions.
-func artifactCost(a *Artifact, insts int) int64 {
+// artifactCost measures an artifact's resident size. A harvest is
+// charged its four per-instruction slices; its trace belongs to (and is
+// charged in) the trace cache.
+func artifactCost(a *Artifact) int64 {
 	cost := int64(baseCost)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.m != nil {
-		cost += machineCost(insts)
+	if in := a.harvest; in != nil {
+		cost += 8*int64(len(in.Release)+len(in.Latency)+len(in.Complete)) + int64(len(in.Mispredicted))
 	}
 	if a.exact != nil {
-		cost += exactCost
+		cost += bytesPerExactPC * int64(len(a.exact.PCs()))
 	}
 	return cost
 }

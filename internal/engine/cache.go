@@ -40,7 +40,6 @@ type entry struct {
 	art   *Artifact
 	crit  *CritSummary
 	sched *SchedSummary
-	insts int
 	cost  int64
 	elem  *list.Element
 	// journal marks entries restored by journal replay; hits on them
@@ -49,12 +48,13 @@ type entry struct {
 	journal bool
 }
 
-// memCache is a byte-budgeted LRU over traces and simulation artifacts.
-// Under pressure it first demotes simulation entries to result-only
-// stubs (the machine's event log dominates their footprint), then drops
-// entries outright. Demotion replaces the cached artifact with a fresh
-// stub rather than mutating it, so drivers already holding the full
-// artifact are unaffected.
+// memCache is a byte-budgeted LRU over traces, trace stores, simulation
+// artifacts and derived summaries. Every entry holds derived values only
+// — never a live machine — and is charged its measured size (see
+// artifactCost), so the budget bounds what the cache really pins. Under
+// pressure the least recently used entries are dropped outright; drivers
+// already holding a dropped value keep it, and a later lookup
+// recomputes it.
 //
 // memCache is not internally locked; the Engine serializes access.
 type memCache struct {
@@ -79,22 +79,19 @@ func (c *memCache) get(key string) *entry {
 }
 
 func (c *memCache) putTrace(key string, tr *trace.Trace, insts int) {
-	c.put(&entry{key: key, kind: kindTrace, tr: tr, insts: insts, cost: traceCost(insts)})
+	c.put(&entry{key: key, kind: kindTrace, tr: tr, cost: traceCost(insts)})
 }
 
-func (c *memCache) putSim(key string, a *Artifact, insts int) {
-	c.put(&entry{key: key, kind: kindSim, art: a, insts: insts, cost: artifactCost(a, insts)})
+func (c *memCache) putSim(key string, a *Artifact) {
+	c.put(&entry{key: key, kind: kindSim, art: a, cost: artifactCost(a)})
 }
 
-// putAnalysis caches a derived critical-path summary. Summaries are tiny
-// fixed-size values; under pressure shrink drops them outright (there is
-// nothing to demote).
+// putAnalysis caches a derived critical-path summary, a fixed-size value.
 func (c *memCache) putAnalysis(key string, cs *CritSummary) {
 	c.put(&entry{key: key, kind: kindAnalysis, crit: cs, cost: baseCost})
 }
 
-// putSched caches a derived schedule summary — four scalars, so like
-// analyses it is dropped (not demoted) under pressure.
+// putSched caches a derived schedule summary — four scalars.
 func (c *memCache) putSched(key string, ss *SchedSummary) {
 	c.put(&entry{key: key, kind: kindSched, sched: ss, cost: baseCost})
 }
@@ -121,21 +118,14 @@ func (c *memCache) put(e *entry) {
 	c.shrink()
 }
 
-// shrink enforces the byte budget. Each pass either strictly reduces
-// resident bytes (demotion) or removes an entry, so it terminates.
+// shrink enforces the byte budget by dropping least recently used
+// entries.
 func (c *memCache) shrink() {
 	if c.max <= 0 {
 		return
 	}
 	for c.bytes > c.max && c.ll.Len() > 0 {
 		oldest := c.ll.Back().Value.(*entry)
-		if oldest.kind == kindSim && oldest.cost > baseCost {
-			c.bytes -= oldest.cost - baseCost
-			oldest.art = resultArtifact(oldest.art.Res)
-			oldest.cost = baseCost
-			c.evicted++
-			continue
-		}
 		c.bytes -= oldest.cost
 		c.ll.Remove(oldest.elem)
 		delete(c.entries, oldest.key)
@@ -148,8 +138,8 @@ func (c *memCache) len() int { return c.ll.Len() }
 
 // diskCache persists artifacts across processes, keyed by the hash of
 // the canonical key string. Traces round-trip through the binary trace
-// codec; simulation results are stored as JSON envelopes. Live machines
-// and exact trackers are never persisted — a disk hit can only satisfy
+// codec; simulation results are stored as JSON envelopes. Harvests and
+// exact trackers are never persisted — a disk hit can only satisfy
 // NeedResult.
 //
 // The disk layer is an accelerator, never a dependency, and every

@@ -76,7 +76,7 @@ func TestSimCtxCancelledFailsFast(t *testing.T) {
 	cancel()
 
 	var runs atomic.Int64
-	run := func() (*Artifact, error) {
+	run := func() (Run, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}
@@ -115,14 +115,14 @@ func TestForeignCancellationRetry(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, leaderErr = e.SimCtx(leaderCtx, key, NeedResult, func() (*Artifact, error) {
+		_, leaderErr = e.SimCtx(leaderCtx, key, NeedResult, func() (Run, error) {
 			close(leaderStarted)
 			<-releaseLeader
 			// The leader's driver observed its own cancellation mid-job
 			// (as a nested MapCtx/SimCtx inside a real driver would) and
 			// surfaces it.
 			cancelLeader()
-			return nil, Fatal(fmt.Errorf("engine: job cancelled: %w", leaderCtx.Err()))
+			return Run{}, Fatal(fmt.Errorf("engine: job cancelled: %w", leaderCtx.Err()))
 		})
 	}()
 
@@ -135,7 +135,7 @@ func TestForeignCancellationRetry(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		followerArt, followerErr = e.SimCtx(context.Background(), key, NeedResult, func() (*Artifact, error) {
+		followerArt, followerErr = e.SimCtx(context.Background(), key, NeedResult, func() (Run, error) {
 			followerRan.Add(1)
 			return runTiny(1)
 		})
@@ -168,7 +168,7 @@ func TestEngineWideContextStillApplies(t *testing.T) {
 	cancel()
 
 	var runs atomic.Int64
-	_, err := e.SimCtx(context.Background(), testSimKey(1), NeedResult, func() (*Artifact, error) {
+	_, err := e.SimCtx(context.Background(), testSimKey(1), NeedResult, func() (Run, error) {
 		runs.Add(1)
 		return runTiny(1)
 	})

@@ -14,14 +14,15 @@
 //
 // Three layers serve a lookup, in order:
 //
-//  1. an in-memory LRU (byte-budgeted; entries holding live machines are
-//     demoted to result-only stubs under pressure),
+//  1. an in-memory LRU (byte-budgeted over measured sizes; entries hold
+//     derived values only — results, harvests, summaries — and machines
+//     are recycled as soon as their derived values are taken),
 //  2. an optional on-disk cache (traces via the binary trace codec,
 //     results as JSON, every entry CRC-framed; corrupt entries are
 //     quarantined and recomputed, and repeated I/O failures degrade the
 //     layer to memory-only) that survives across processes,
 //  3. a singleflight table so concurrent submissions of one key run the
-//     simulation exactly once.
+//     simulation exactly once, whatever each of them derives from it.
 //
 // For failure semantics — the Transient/Corrupt/Fatal error taxonomy,
 // fault injection, the resume journal, and cancellation — see
@@ -45,14 +46,9 @@ import (
 	"clustersim/internal/trace"
 )
 
-// errNoMachine reports a derived-product request against a result-only
-// artifact (disk-loaded or demoted).
-var errNoMachine = errors.New("engine: artifact holds no machine (result-only cache entry)")
-
 // DefaultMaxCacheBytes bounds the in-memory cache when Config leaves it
-// unset: generous enough to share runs across an entire `clustersim all`
-// invocation at test scales, bounded enough not to retain every machine
-// of a full-scale run.
+// unset: generous enough to keep everything an entire `clustersim all`
+// derives at the default -n resident (about 380 MiB at -n 200000).
 const DefaultMaxCacheBytes = 1 << 30
 
 // maxInjectedPanicRetries bounds how often Map re-runs a job killed by
@@ -109,7 +105,7 @@ type Engine struct {
 
 	disk    *diskCache
 	diskErr error
-	journal *journal
+	journal atomic.Pointer[journal]
 
 	cTraceHit, cTraceMiss                *metrics.Counter
 	cSimHit, cSimDiskHit, cSimMiss       *metrics.Counter
@@ -129,6 +125,11 @@ type call struct {
 	done chan struct{}
 	val  any
 	err  error
+	// Simulation flights only (see simFlight): need is the union of the
+	// needs the flight serves, and open reports whether later
+	// submissions may still add derived needs to it.
+	need Need
+	open bool
 }
 
 // New builds an engine from cfg. A bad cache directory disables the disk
@@ -463,11 +464,15 @@ func (e *Engine) cacheStore(memKey string, st *trace.Store, resident int64) {
 
 // Sim returns the artifact for key, simulating with run on a cache miss.
 // need declares which products the caller will read: a result-only cache
-// entry (from disk, or demoted under memory pressure) satisfies
-// NeedResult but forces a re-simulation for NeedMachine/NeedExact.
+// entry (from disk, or published for a NeedResult submission) satisfies
+// NeedResult but forces a re-simulation for NeedHarvest/NeedExact.
 // Concurrent submissions of one key — e.g. two figure drivers sharing a
 // focused-stack run — simulate once and share the artifact.
-func (e *Engine) Sim(key SimKey, need Need, run func() (*Artifact, error)) (*Artifact, error) {
+//
+// run must return the live machine; it must record the event log when
+// need includes NeedHarvest, and return the exact tracker for TrackExact
+// keys. The engine recycles the machine once it has taken what it needs.
+func (e *Engine) Sim(key SimKey, need Need, run func() (Run, error)) (*Artifact, error) {
 	return e.SimCtx(nil, key, need, run)
 }
 
@@ -476,59 +481,15 @@ func (e *Engine) Sim(key SimKey, need Need, run func() (*Artifact, error)) (*Art
 // submissions of the same engine (other tenants' jobs on a shared server
 // engine) are untouched. A nil ctx means no per-submission cancellation
 // (the engine-wide SetContext still applies).
-func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (*Artifact, error)) (*Artifact, error) {
+func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (Run, error)) (*Artifact, error) {
 	if need&NeedExact != 0 && !key.TrackExact {
 		return nil, fmt.Errorf("engine: %s requested for key without TrackExact (%s)", need, key)
 	}
-	canon := key.String()
 	for attempt := 0; ; attempt++ {
-		e.mu.Lock()
-		if ent := e.mem.get(canon); ent != nil && ent.art.satisfies(need) {
-			fromJournal := ent.journal
-			e.mu.Unlock()
-			e.cSimHit.Inc()
-			if fromJournal {
-				e.cResumeHit.Inc()
-			}
-			return ent.art, nil
-		}
-		e.mu.Unlock()
-
-		// A result summary from disk can satisfy pure-result requests
-		// without simulating.
-		if need&^NeedResult == 0 && e.diskAvailable() {
-			if res, ok := e.disk.loadResult(key); ok {
-				a := resultArtifact(res)
-				e.mu.Lock()
-				e.mem.putSim(canon, a, key.Insts)
-				e.mu.Unlock()
-				e.cSimDiskHit.Inc()
-				e.journalResult(canon, key.Insts, res)
-				return a, nil
-			}
-		}
-
-		v, err := e.doOnce(canon, e.cSimHit, func() (any, error) {
-			if err := e.checkCtx(ctx); err != nil {
-				return nil, err
-			}
-			e.cSimMiss.Inc()
-			start := time.Now()
-			a, err := run()
-			if err != nil {
-				return nil, err
-			}
-			e.tSim.Observe(time.Since(start))
-			e.cInsts.Add(a.Res.Insts)
-			e.mu.Lock()
-			e.mem.putSim(canon, a, key.Insts)
-			e.mu.Unlock()
-			if e.diskAvailable() {
-				e.disk.storeResult(key, a.Res)
-			}
-			e.journalResult(canon, key.Insts, a.Res)
+		if a := e.cachedSim(key, need); a != nil {
 			return a, nil
-		})
+		}
+		f, err := e.simFlight(ctx, key, need, run)
 		if err != nil {
 			// Sharing a singleflight with a leader that was cancelled by
 			// its own submission context must not fail this (live)
@@ -540,15 +501,167 @@ func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (
 			}
 			return nil, err
 		}
-		a := v.(*Artifact)
-		if !a.satisfies(need) {
-			// Shared a flight whose artifact cannot serve this need (it
-			// raced with a demotion, or joined a disk-loaded entry). Rare;
-			// retry resolves it.
-			return e.SimCtx(ctx, key, need, run)
-		}
-		return a, nil
+		return f.art, nil
 	}
+}
+
+// cachedSim serves key from memory or — for pure-result needs — from
+// the disk cache, counting the hit; nil means a miss.
+func (e *Engine) cachedSim(key SimKey, need Need) *Artifact {
+	canon := key.String()
+	e.mu.Lock()
+	if ent := e.mem.get(canon); ent != nil && ent.art.satisfies(need) {
+		fromJournal := ent.journal
+		e.mu.Unlock()
+		e.cSimHit.Inc()
+		if fromJournal {
+			e.cResumeHit.Inc()
+		}
+		return ent.art
+	}
+	e.mu.Unlock()
+	if need&^NeedResult == 0 && e.diskAvailable() {
+		if res, ok := e.disk.loadResult(key); ok {
+			a := resultArtifact(res)
+			e.mu.Lock()
+			e.mem.putSim(canon, a)
+			e.mu.Unlock()
+			e.cSimDiskHit.Inc()
+			e.journalResult(canon, key.Insts, res)
+			return a
+		}
+	}
+	return nil
+}
+
+// flight is what one simulation flight hands its submitters: the
+// published artifact and, when an analysis submission shared the
+// flight, the critical-path summary.
+type flight struct {
+	art  *Artifact
+	crit *CritSummary
+}
+
+// simFlight runs key's simulation once for every concurrent submission
+// it can serve. A submission joins a running flight when the flight
+// already derives everything it needs, or when the flight is still open:
+// its run records the event log and its machine has not been settled
+// yet, so the new submission's derived needs are simply added. A
+// submission the flight cannot serve waits for it and then starts its
+// own. Joiners count as sim hits, the leader as a miss.
+func (e *Engine) simFlight(ctx context.Context, key SimKey, need Need, run func() (Run, error)) (*flight, error) {
+	canon := key.String()
+	for {
+		e.mu.Lock()
+		c, ok := e.inflight[canon]
+		if !ok {
+			// A flight that ended since the caller's lookup published
+			// its products before leaving the table.
+			if f := e.publishedFlight(key, need); f != nil {
+				e.mu.Unlock()
+				e.cSimHit.Inc()
+				return f, nil
+			}
+			c = &call{done: make(chan struct{}), need: need, open: need&derived != 0}
+			e.inflight[canon] = c
+			e.mu.Unlock()
+			c.val, c.err = e.lead(ctx, key, c, run)
+			e.mu.Lock()
+			delete(e.inflight, canon)
+			e.mu.Unlock()
+			close(c.done)
+			if c.err != nil {
+				return nil, c.err
+			}
+			return c.val.(*flight), nil
+		}
+		joined := c.open || need&derived&^c.need == 0
+		if joined {
+			c.need |= need
+		}
+		e.mu.Unlock()
+		<-c.done
+		if !joined {
+			continue
+		}
+		if c.err != nil {
+			return nil, c.err
+		}
+		e.cSimHit.Inc()
+		return c.val.(*flight), nil
+	}
+}
+
+// publishedFlight serves need from what finished flights left in the
+// memory cache; nil when something is missing. Called with e.mu held.
+func (e *Engine) publishedFlight(key SimKey, need Need) *flight {
+	ent := e.mem.get(key.String())
+	if ent == nil || !ent.art.satisfies(need) {
+		return nil
+	}
+	f := &flight{art: ent.art}
+	if need&needAnalysis != 0 {
+		an := e.mem.get(analysisCanon(key))
+		if an == nil {
+			return nil
+		}
+		f.crit = an.crit
+	}
+	return f
+}
+
+// lead runs one simulation flight: simulate, close the flight to new
+// derived needs, derive what its submitters asked for, recycle the
+// machine, and publish the results.
+func (e *Engine) lead(ctx context.Context, key SimKey, c *call, run func() (Run, error)) (*flight, error) {
+	if err := e.checkCtx(ctx); err != nil {
+		return nil, err
+	}
+	e.cSimMiss.Inc()
+	start := time.Now()
+	r, err := run()
+	if err != nil {
+		return nil, err
+	}
+	e.tSim.Observe(time.Since(start))
+	e.cInsts.Add(r.Res.Insts)
+	e.mu.Lock()
+	need := c.need
+	c.open = false
+	e.mu.Unlock()
+	a, cs, err := e.settle(key, need, r)
+	if err != nil {
+		return nil, err
+	}
+	e.publish(key, a)
+	if cs != nil {
+		canon := analysisCanon(key)
+		e.mu.Lock()
+		e.mem.putAnalysis(canon, cs)
+		e.mu.Unlock()
+		if e.diskAvailable() {
+			e.disk.storeAnalysis(canon, cs)
+		}
+		e.journalAnalysis(canon, cs)
+	}
+	return &flight{art: a, crit: cs}, nil
+}
+
+// publish caches a freshly simulated artifact and persists its result.
+// A resident artifact that carries a harvest the new one lacks stays in
+// place: both describe the same pure run, and the resident one serves
+// more.
+func (e *Engine) publish(key SimKey, a *Artifact) {
+	canon := key.String()
+	e.mu.Lock()
+	if ent := e.mem.get(canon); ent == nil || ent.art.harvest == nil || a.harvest != nil {
+		e.mem.putSim(canon, a)
+	}
+	e.mu.Unlock()
+	if e.diskAvailable() {
+		e.disk.storeResult(key, a.Res)
+	}
+	e.journalResult(canon, key.Insts, a.Res)
 }
 
 // doOnce collapses concurrent executions of one key into a single call;

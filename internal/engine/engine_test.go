@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,19 +27,18 @@ func testSimKey(seed uint64) SimKey {
 		Fwd: 2, EpochLen: 1024, Clusters: 1, Stack: "depbased"}
 }
 
-// runTiny executes a real miniature simulation so the artifact carries a
-// live machine, as production jobs do.
-func runTiny(seed uint64) (*Artifact, error) {
+// runTiny executes a real miniature simulation and hands over the live
+// machine with its event log, as production jobs do.
+func runTiny(seed uint64) (Run, error) {
 	tr, err := workload.Generate("gzip", testInsts, seed)
 	if err != nil {
-		return nil, err
+		return Run{}, err
 	}
 	m, err := machine.New(machine.NewConfig(1), tr, steer.DepBased{}, machine.Hooks{})
 	if err != nil {
-		return nil, err
+		return Run{}, err
 	}
-	res := m.Run()
-	return NewArtifact(m, res, nil), nil
+	return Run{M: m, Res: m.Run()}, nil
 }
 
 func TestTraceCaching(t *testing.T) {
@@ -77,7 +77,7 @@ func TestTraceCaching(t *testing.T) {
 func TestSimCacheHitMissAccounting(t *testing.T) {
 	e := New(Config{Workers: 2})
 	var runs atomic.Int64
-	run := func() (*Artifact, error) {
+	run := func() (Run, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}
@@ -116,7 +116,7 @@ func TestSimConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, err := e.Sim(testSimKey(1), NeedResult|NeedMachine, func() (*Artifact, error) {
+			a, err := e.Sim(testSimKey(1), NeedResult|NeedHarvest, func() (Run, error) {
 				runs.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
 				return runTiny(1)
@@ -150,10 +150,10 @@ func TestSimErrorsNotCached(t *testing.T) {
 	e := New(Config{Workers: 2})
 	boom := errors.New("boom")
 	var runs int
-	run := func() (*Artifact, error) {
+	run := func() (Run, error) {
 		runs++
 		if runs == 1 {
-			return nil, boom
+			return Run{}, boom
 		}
 		return runTiny(1)
 	}
@@ -175,9 +175,9 @@ func TestSimErrorsNotCached(t *testing.T) {
 func TestSimNeedExactRequiresTrackExact(t *testing.T) {
 	e := New(Config{})
 	key := testSimKey(1) // TrackExact unset
-	_, err := e.Sim(key, NeedExact, func() (*Artifact, error) {
+	_, err := e.Sim(key, NeedExact, func() (Run, error) {
 		t.Error("run must not be called")
-		return nil, nil
+		return Run{}, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "TrackExact") {
 		t.Fatalf("err = %v, want TrackExact complaint", err)
@@ -187,7 +187,7 @@ func TestSimNeedExactRequiresTrackExact(t *testing.T) {
 func TestDiskResultRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{CacheDir: dir})
-	a1, err := e1.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) })
+	a1, err := e1.Sim(testSimKey(1), NeedResult, func() (Run, error) { return runTiny(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +195,9 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	// A second engine (fresh process, same cache dir) serves NeedResult
 	// from disk without simulating.
 	e2 := New(Config{CacheDir: dir})
-	a2, err := e2.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) {
+	a2, err := e2.Sim(testSimKey(1), NeedResult, func() (Run, error) {
 		t.Error("run must not be called on a disk hit")
-		return nil, nil
+		return Run{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,17 +205,17 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	if a2.Res != a1.Res {
 		t.Errorf("disk result = %+v, want %+v", a2.Res, a1.Res)
 	}
-	if a2.Machine() != nil {
-		t.Error("disk-loaded artifact claims a live machine")
+	if a2.Harvest() != nil {
+		t.Error("disk-loaded artifact claims a harvest")
 	}
 	if s := e2.Summary(); s.SimDiskHits != 1 || s.SimMisses != 0 {
 		t.Errorf("disk-hits/misses = %d/%d, want 1/0", s.SimDiskHits, s.SimMisses)
 	}
 
-	// NeedMachine cannot be served by the result-only disk entry: the
-	// simulation re-runs and yields a live machine.
+	// NeedHarvest cannot be served by the result-only disk entry: the
+	// simulation re-runs and yields a harvest.
 	var runs atomic.Int64
-	a3, err := e2.Sim(testSimKey(1), NeedResult|NeedMachine, func() (*Artifact, error) {
+	a3, err := e2.Sim(testSimKey(1), NeedResult|NeedHarvest, func() (Run, error) {
 		runs.Add(1)
 		return runTiny(1)
 	})
@@ -223,10 +223,10 @@ func TestDiskResultRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {
-		t.Errorf("NeedMachine after disk hit ran %d times, want 1", runs.Load())
+		t.Errorf("NeedHarvest after disk hit ran %d times, want 1", runs.Load())
 	}
-	if a3.Machine() == nil {
-		t.Error("re-run artifact has no machine")
+	if a3.Harvest() == nil {
+		t.Error("re-run artifact has no harvest")
 	}
 	if a3.Res != a1.Res {
 		t.Errorf("re-run result differs: %+v vs %+v", a3.Res, a1.Res)
@@ -276,50 +276,44 @@ func TestBadCacheDirNonFatal(t *testing.T) {
 	if e.Summary().DiskErr == nil {
 		t.Error("expected DiskErr for unusable cache dir")
 	}
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e.Sim(testSimKey(1), NeedResult, func() (Run, error) { return runTiny(1) }); err != nil {
 		t.Fatalf("engine without disk layer failed: %v", err)
 	}
 }
 
-// TestDemotionUnderPressure pins the memory-cache behavior: over budget,
-// sim entries lose their machine but keep serving results, and drivers
-// already holding the full artifact are unaffected.
-func TestDemotionUnderPressure(t *testing.T) {
-	e := New(Config{MaxCacheBytes: baseCost + 1}) // any machine demotes immediately
-	full, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) })
+// TestEvictionUnderPressure pins the memory-cache behavior: over budget,
+// a harvested sim entry is dropped outright (there is no machine to
+// demote), drivers already holding its artifact keep a usable harvest,
+// and a later harvest request re-simulates.
+func TestEvictionUnderPressure(t *testing.T) {
+	e := New(Config{MaxCacheBytes: baseCost + 1}) // any harvest evicts immediately
+	full, err := e.Sim(testSimKey(1), NeedHarvest, func() (Run, error) { return runTiny(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Machine() == nil {
-		t.Fatal("returned artifact lost its machine (demotion must not mutate)")
+	in := full.Harvest()
+	if in == nil || len(in.Release) != in.Trace.Len() {
+		t.Fatal("returned artifact lost its harvest (eviction must not mutate)")
 	}
 	s := e.Summary()
 	if s.Evictions == 0 {
-		t.Error("expected a demotion under a tiny budget")
+		t.Error("expected an eviction under a tiny budget")
 	}
 	if s.CacheBytes > baseCost+1 {
 		t.Errorf("cache resident %d bytes over budget", s.CacheBytes)
 	}
 
-	// The demoted entry still serves NeedResult without re-running...
 	var runs atomic.Int64
-	run := func() (*Artifact, error) { runs.Add(1); return runTiny(1) }
-	if _, err := e.Sim(testSimKey(1), NeedResult, run); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 0 {
-		t.Error("demoted entry did not serve NeedResult")
-	}
-	// ...but a NeedMachine request re-simulates.
-	a, err := e.Sim(testSimKey(1), NeedResult|NeedMachine, run)
+	run := func() (Run, error) { runs.Add(1); return runTiny(1) }
+	a, err := e.Sim(testSimKey(1), NeedHarvest, run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {
-		t.Errorf("NeedMachine on demoted entry ran %d times, want 1", runs.Load())
+		t.Errorf("harvest after eviction ran %d times, want 1", runs.Load())
 	}
-	if a.Machine() == nil {
-		t.Error("re-run artifact has no machine")
+	if !reflect.DeepEqual(a.Harvest(), in) {
+		t.Error("re-simulated harvest differs from the evicted one")
 	}
 }
 
@@ -443,10 +437,10 @@ func TestMapEmpty(t *testing.T) {
 
 func TestRenderSummary(t *testing.T) {
 	e := New(Config{Workers: 2})
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e.Sim(testSimKey(1), NeedResult, func() (Run, error) { return runTiny(1) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e.Sim(testSimKey(1), NeedResult, func() (Run, error) { return runTiny(1) }); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -463,8 +457,8 @@ func TestNeedString(t *testing.T) {
 	cases := map[Need]string{
 		0:                                    "none",
 		NeedResult:                           "result",
-		NeedResult | NeedMachine:             "result+machine",
-		NeedResult | NeedMachine | NeedExact: "result+machine+exact",
+		NeedResult | NeedHarvest:             "result+harvest",
+		NeedResult | NeedHarvest | NeedExact: "result+harvest+exact",
 	}
 	for n, want := range cases {
 		if got := n.String(); got != want {

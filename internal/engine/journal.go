@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"sync"
@@ -25,7 +26,10 @@ import (
 // order up to the first invalid frame (a torn tail from a crash or an
 // injected short write), and the file is truncated to that prefix so
 // subsequent appends continue a well-formed stream. A lost suffix only
-// costs recomputation.
+// costs recomputation. Appends keep the stream well-formed while the
+// process lives: a failed or short write is truncated away before the
+// next record goes in, so one bad append never hides the good records
+// after it from replay.
 //
 // Traces are deliberately not journaled: they are large, cheap to
 // regenerate relative to simulation, and already persisted by the disk
@@ -54,6 +58,12 @@ type journal struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
+	// size is the offset of the end of the last whole record; a failed
+	// append truncates the file back to it.
+	size int64
+	// stopped is set once the journal is closed, or once a failed append
+	// could not be truncated away; later appends are dropped.
+	stopped bool
 }
 
 // OpenJournal attaches a run journal at path. With resume set, existing
@@ -64,8 +74,8 @@ type journal struct {
 // journal is not swappable mid-run. Returns the number of restored
 // records.
 func (e *Engine) OpenJournal(path string, resume bool) (int, error) {
-	if e.journal != nil {
-		return 0, Fatal(fmt.Errorf("engine: journal already open at %s", e.journal.path))
+	if j := e.journal.Load(); j != nil {
+		return 0, Fatal(fmt.Errorf("engine: journal already open at %s", j.path))
 	}
 	restored := 0
 	if resume {
@@ -83,29 +93,42 @@ func (e *Engine) OpenJournal(path string, resume bool) (int, error) {
 	if err != nil {
 		return 0, Fatal(fmt.Errorf("engine: open journal: %w", err))
 	}
-	e.journal = &journal{path: path, f: f}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return 0, Fatal(fmt.Errorf("engine: open journal: %w", err))
+	}
+	if !e.journal.CompareAndSwap(nil, &journal{path: path, f: f, size: fi.Size()}) {
+		f.Close()
+		return 0, Fatal(fmt.Errorf("engine: journal already open"))
+	}
 	return restored, nil
 }
 
-// CloseJournal syncs and closes the journal (a no-op when none is open).
+// CloseJournal syncs and closes the journal (a no-op when none is open)
+// and returns the first of the sync and close errors. Appends racing
+// with it are dropped once it has begun.
 func (e *Engine) CloseJournal() error {
-	j := e.journal
+	j := e.journal.Swap(nil)
 	if j == nil {
 		return nil
 	}
-	e.journal = nil
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.f.Sync()
-	return j.f.Close()
+	j.stopped = true
+	err := j.f.Sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // JournalPath returns the open journal's path ("" when none).
 func (e *Engine) JournalPath() string {
-	if e.journal == nil {
-		return ""
+	if j := e.journal.Load(); j != nil {
+		return j.path
 	}
-	return e.journal.path
+	return ""
 }
 
 // replayJournal restores the journal's valid prefix into the memory
@@ -155,7 +178,7 @@ func (e *Engine) restoreRecord(rec journalRecord) bool {
 		if rec.Result == nil {
 			return false
 		}
-		e.mem.putSim(rec.Key, resultArtifact(*rec.Result), rec.Insts)
+		e.mem.putSim(rec.Key, resultArtifact(*rec.Result))
 	case recAnalysis:
 		if rec.Crit == nil {
 			return false
@@ -177,7 +200,9 @@ func (e *Engine) restoreRecord(rec journalRecord) bool {
 
 // append frames, writes and fsyncs one record. Failures are counted,
 // never propagated: losing a journal record only means a resume run
-// recomputes that key.
+// recomputes that key. A failed or short write (or a failed fsync) is
+// truncated back to the last whole record so the stream stays
+// replayable past it; if even that fails, appending stops.
 func (j *journal) append(e *Engine, rec journalRecord) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -187,36 +212,56 @@ func (j *journal) append(e *Engine, rec journalRecord) {
 	framed := encodeFrame(payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.stopped {
+		return
+	}
 	if err := faultinject.Err("journal.append"); err != nil {
 		e.cDiskErr.Inc()
 		return
 	}
-	if _, err := j.f.Write(framed); err != nil {
+	if err := j.write(framed); err != nil {
 		e.cDiskErr.Inc()
+		if j.f.Truncate(j.size) != nil {
+			j.stopped = true
+		}
 		return
 	}
-	if err := j.f.Sync(); err != nil {
-		e.cDiskErr.Inc()
+	j.size += int64(len(framed))
+}
+
+// write appends one framed record and fsyncs it. Injected write faults
+// may fail the write or tear it short.
+func (j *journal) write(framed []byte) error {
+	data, err := faultinject.WriteFault("journal.write", framed)
+	if err != nil {
+		return err
 	}
+	if _, err := j.f.Write(data); err != nil {
+		return err
+	}
+	if len(data) < len(framed) {
+		return io.ErrShortWrite
+	}
+	return j.f.Sync()
 }
 
 // journalResult records one completed simulation result.
 func (e *Engine) journalResult(canon string, insts int, res machine.Result) {
-	if j := e.journal; j != nil {
+	if j := e.journal.Load(); j != nil {
 		j.append(e, journalRecord{Kind: recResult, Key: canon, Insts: insts, Result: &res})
 	}
 }
 
 // journalAnalysis records one completed critical-path summary.
 func (e *Engine) journalAnalysis(canon string, cs *CritSummary) {
-	if j := e.journal; j != nil {
+	if j := e.journal.Load(); j != nil {
 		j.append(e, journalRecord{Kind: recAnalysis, Key: canon, Crit: cs})
 	}
 }
 
 // journalSched records one completed schedule summary.
 func (e *Engine) journalSched(canon string, ss *SchedSummary) {
-	if j := e.journal; j != nil {
+	if j := e.journal.Load(); j != nil {
 		j.append(e, journalRecord{Kind: recSched, Key: canon, Sched: ss})
 	}
 }

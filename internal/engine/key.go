@@ -77,21 +77,30 @@ func hashKey(canonical string) string {
 }
 
 // Need declares which artifacts of a simulation a submitter will read.
-// The engine uses it to decide whether a partially materialized cache
-// entry (for example a result loaded from disk, which has no live
-// machine) can satisfy a request or whether the simulation must run.
+// The engine uses it to decide whether a cache entry (for example a
+// result loaded from disk, which carries nothing derived from the run's
+// event log) can satisfy a request or whether the simulation must run,
+// and what to derive from the machine before recycling it.
 type Need uint8
 
 const (
 	// NeedResult asks only for the machine.Result summary.
 	NeedResult Need = 1 << iota
-	// NeedMachine asks for the live post-run machine (critical-path
-	// analysis, slack computation, list-scheduler harvesting).
-	NeedMachine
+	// NeedHarvest asks for the list scheduler's input harvested from the
+	// run's event log (listsched.FromMachineRun).
+	NeedHarvest
 	// NeedExact asks for the unlimited-precision criticality tracker;
 	// only meaningful with SimKey.TrackExact set.
 	NeedExact
+	// needAnalysis is AnalysisCtx's request for the critical-path
+	// summary; it is derived inside a simulation flight and cached under
+	// its own key, never in the artifact.
+	needAnalysis
 )
+
+// derived are the needs read off the live machine's event log, so a run
+// serving them must record one.
+const derived = NeedHarvest | needAnalysis
 
 // String renders the need set (for errors and tests).
 func (n Need) String() string {
@@ -105,11 +114,14 @@ func (n Need) String() string {
 	if n&NeedResult != 0 {
 		add("result")
 	}
-	if n&NeedMachine != 0 {
-		add("machine")
+	if n&NeedHarvest != 0 {
+		add("harvest")
 	}
 	if n&NeedExact != 0 {
 		add("exact")
+	}
+	if n&needAnalysis != 0 {
+		add("analysis")
 	}
 	if s == "" {
 		s = "none"

@@ -10,14 +10,14 @@ import (
 // aligned. Hits are served from memory (or, for pure-result requests,
 // from the on-disk result summaries) under exactly the same rules as
 // Sim; compute receives the indices of the remaining misses (in key
-// order) and must return their artifacts in that order — typically one
-// fused machine.SimulateVariants call over the batch's shared trace,
-// which is why the misses are batched instead of resolved one key at a
+// order) and must return their finished runs in that order, under Sim's
+// run contract — typically one fused machine.SimulateVariants call over
+// the batch's shared trace, which is why the misses are batched instead of resolved one key at a
 // time: the fused run decodes the trace, builds the producer index, and
 // trains the shared front-end exactly once for every geometry in the
 // sweep.
 //
-// Each returned artifact is cached and journaled under its own SimKey,
+// Each run's artifact is cached and journaled under its own SimKey,
 // so later solo Sim submissions of any variant hit without recomputing,
 // and vice versa — a fused batch warms the same cache a solo run would.
 //
@@ -26,7 +26,7 @@ import (
 // arise across drivers racing the same figure — the second computation
 // produces a byte-identical artifact (the purity contract) and simply
 // overwrites the first's entry. This mirrors Schedules.
-func (e *Engine) SimVariants(keys []SimKey, need Need, compute func(miss []int) ([]*Artifact, error)) ([]*Artifact, error) {
+func (e *Engine) SimVariants(keys []SimKey, need Need, compute func(miss []int) ([]Run, error)) ([]*Artifact, error) {
 	return e.SimVariantsCtx(nil, keys, need, compute)
 }
 
@@ -34,40 +34,15 @@ func (e *Engine) SimVariants(keys []SimKey, need Need, compute func(miss []int) 
 // is cancelled the batch's misses fail fast without simulating, while
 // other submissions of the same engine are untouched. A nil ctx means no
 // per-submission cancellation (the engine-wide SetContext still applies).
-func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, need Need, compute func(miss []int) ([]*Artifact, error)) ([]*Artifact, error) {
+func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, need Need, compute func(miss []int) ([]Run, error)) ([]*Artifact, error) {
 	out := make([]*Artifact, len(keys))
 	var miss []int
 	for i, key := range keys {
 		if need&NeedExact != 0 && !key.TrackExact {
 			return nil, fmt.Errorf("engine: %s requested for key without TrackExact (%s)", need, key)
 		}
-		canon := key.String()
-		e.mu.Lock()
-		if ent := e.mem.get(canon); ent != nil && ent.art.satisfies(need) {
-			fromJournal := ent.journal
-			out[i] = ent.art
-			e.mu.Unlock()
-			e.cSimHit.Inc()
-			if fromJournal {
-				e.cResumeHit.Inc()
-			}
+		if out[i] = e.cachedSim(key, need); out[i] != nil {
 			continue
-		}
-		e.mu.Unlock()
-
-		// A result summary from disk can satisfy pure-result requests
-		// without simulating.
-		if need&^NeedResult == 0 && e.diskAvailable() {
-			if res, ok := e.disk.loadResult(key); ok {
-				a := resultArtifact(res)
-				e.mu.Lock()
-				e.mem.putSim(canon, a, key.Insts)
-				e.mu.Unlock()
-				e.cSimDiskHit.Inc()
-				e.journalResult(canon, key.Insts, res)
-				out[i] = a
-				continue
-			}
 		}
 		miss = append(miss, i)
 	}
@@ -79,30 +54,22 @@ func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, need Need, c
 	}
 	e.cSimMiss.Add(int64(len(miss)))
 	start := time.Now()
-	computed, err := compute(miss)
+	runs, err := compute(miss)
 	if err != nil {
 		return nil, err
 	}
 	e.tSim.Observe(time.Since(start))
-	if len(computed) != len(miss) {
-		return nil, fmt.Errorf("engine: variant compute returned %d artifacts for %d misses",
-			len(computed), len(miss))
+	if len(runs) != len(miss) {
+		return nil, fmt.Errorf("engine: variant compute returned %d runs for %d misses",
+			len(runs), len(miss))
 	}
 	for j, i := range miss {
-		a := computed[j]
-		if a == nil || !a.satisfies(need) {
-			return nil, fmt.Errorf("engine: variant compute artifact %d cannot serve %s", j, need)
+		e.cInsts.Add(runs[j].Res.Insts)
+		a, _, err := e.settle(keys[i], need, runs[j])
+		if err != nil {
+			return nil, err
 		}
-		key := keys[i]
-		canon := key.String()
-		e.cInsts.Add(a.Res.Insts)
-		e.mu.Lock()
-		e.mem.putSim(canon, a, key.Insts)
-		e.mu.Unlock()
-		if e.diskAvailable() {
-			e.disk.storeResult(key, a.Res)
-		}
-		e.journalResult(canon, key.Insts, a.Res)
+		e.publish(keys[i], a)
 		out[i] = a
 	}
 	return out, nil

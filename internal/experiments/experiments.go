@@ -169,8 +169,8 @@ func simKey(opts Options, bench string, clusters int, stack Stack, trackExact bo
 // Identical jobs submitted by different figures simulate once.
 func sim(opts Options, bench string, clusters int, stack Stack, trackExact bool, need engine.Need) (*engine.Artifact, error) {
 	key := simKey(opts, bench, clusters, stack, trackExact)
-	return opts.engine().SimCtx(opts.Ctx, key, need, func() (*engine.Artifact, error) {
-		return simulateOne(opts, key, need&engine.NeedMachine != 0)
+	return opts.engine().SimCtx(opts.Ctx, key, need, func() (engine.Run, error) {
+		return simulateOne(opts, key, need&engine.NeedHarvest != 0)
 	})
 }
 
@@ -182,16 +182,16 @@ func sim(opts Options, bench string, clusters int, stack Stack, trackExact bool,
 // in any process with a warm disk cache, zero times.
 func analysis(opts Options, bench string, clusters int, stack Stack) (engine.CritSummary, error) {
 	key := simKey(opts, bench, clusters, stack, false)
-	return opts.engine().AnalysisCtx(opts.Ctx, key, func() (*engine.Artifact, error) {
+	return opts.engine().AnalysisCtx(opts.Ctx, key, func() (engine.Run, error) {
 		return simulateOne(opts, key, true)
 	})
 }
 
 // simulateOne runs one key as a one-variant batch (see simulate).
-func simulateOne(opts Options, key engine.SimKey, keepMachine bool) (*engine.Artifact, error) {
-	arts, err := simulate(opts, []engine.SimKey{key}, keepMachine)
+func simulateOne(opts Options, key engine.SimKey, events bool) (engine.Run, error) {
+	runs, err := simulate(opts, []engine.SimKey{key}, events)
 	if err != nil {
-		return nil, err
+		return engine.Run{}, err
 	}
-	return arts[0], nil
+	return runs[0], nil
 }

@@ -165,9 +165,9 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		var bo benchOut
 		var monoCPI float64
 		for _, k := range configs {
-			// The analysis is requested first so its artifact (with the
-			// live machine) is what lands in the cache; the result lookup
-			// below then hits it without re-simulating.
+			// The analysis is requested first: its simulation publishes
+			// the run's result, so the result lookup below hits without
+			// re-simulating.
 			a, err := analysis(opts, bench, k, StackFocused)
 			if err != nil {
 				return bo, err

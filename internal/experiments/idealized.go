@@ -46,10 +46,12 @@ func schedPriority(name string, oracle *listsched.Oracle, a *engine.Artifact) (l
 // idealSchedules returns summaries for the given schedule variants of
 // one harvest run, positionally aligned with specs, via the engine's
 // content-addressed schedule cache. On a warm cache nothing simulates
-// and nothing is rescheduled; on misses the harvest runs once
-// (requesting the exact tracker only when a missing priority needs it)
-// and every missing variant replays through a single pooled fused
-// ScheduleVariants call over the shared dependence structure.
+// and nothing is rescheduled; on misses the harvest — the scheduler
+// input taken from the run's event log, cached in place of the machine —
+// is simulated at most once (requesting the exact tracker only when a
+// missing priority needs it) and every missing variant replays through a
+// single pooled fused ScheduleVariants call over the shared dependence
+// structure.
 func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, specs []schedSpec) ([]engine.SchedSummary, error) {
 	hk := simKey(opts, bench, 1, stack, trackExact)
 	keys := make([]engine.SchedKey, len(specs))
@@ -57,7 +59,7 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		keys[i] = engine.SchedKey{Harvest: hk, Config: sp.config(), Pri: sp.pri}
 	}
 	return opts.engine().SchedulesCtx(opts.Ctx, keys, func(miss []int) ([]engine.SchedSummary, error) {
-		need := engine.NeedMachine
+		need := engine.NeedHarvest
 		for _, i := range miss {
 			if specs[i].pri != PriOracle {
 				need |= engine.NeedExact
@@ -67,7 +69,7 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		if err != nil {
 			return nil, err
 		}
-		in := listsched.FromMachineRun(a.Machine())
+		in := *a.Harvest()
 		oracle := listsched.NewOracle(in)
 		variants := make([]listsched.Variant, len(miss))
 		for j, i := range miss {

@@ -225,25 +225,15 @@ func buildStack(key engine.SimKey) (stackSetup, error) {
 	return su, nil
 }
 
-// artifactFor wraps one finished run, recycling the machine into the
-// pool when the caller never reads per-instruction events.
-func artifactFor(m *machine.Machine, res machine.Result, exact *predictor.Exact, keepMachine bool) *engine.Artifact {
-	if !keepMachine {
-		machine.Recycle(m)
-		return engine.NewResultArtifact(res, exact)
-	}
-	return engine.NewArtifact(m, res, exact)
-}
-
 // simulate runs keys — all over one trace — as a single fused
-// machine.SimulateVariants batch on the packed engine and returns their
-// artifacts in key order. It is the body of every simulation job: a solo
-// Sim or Analysis miss is a one-variant batch, a sweep's misses one
-// batch per benchmark. keepMachine controls the machines' lifetime:
-// callers that never read per-instruction events get result-only
-// artifacts, and the machines (with their event logs) go back to the
-// pool.
-func simulate(opts Options, keys []engine.SimKey, keepMachine bool) ([]*engine.Artifact, error) {
+// machine.SimulateVariants batch on the packed engine and returns the
+// finished runs in key order, live machines included: the engine takes
+// what its submitters need from each machine and recycles it. It is the
+// body of every simulation job: a solo Sim or Analysis miss is a
+// one-variant batch, a sweep's misses one batch per benchmark. events
+// says whether anything will be read off the event logs (a harvest or an
+// analysis); without it the batch skips materializing them.
+func simulate(opts Options, keys []engine.SimKey, events bool) ([]engine.Run, error) {
 	tk := keys[0].Trace()
 	variants := make([]machine.Variant, len(keys))
 	exacts := make([]*predictor.Exact, len(keys))
@@ -264,10 +254,9 @@ func simulate(opts Options, keys []engine.SimKey, keepMachine bool) ([]*engine.A
 	}
 	// Fan the per-variant replays out over the engine's per-job worker
 	// share (results are order-stitched and byte-identical under any
-	// fan-out), and skip event-log materialization when the caller keeps
-	// only Results — the NewResultArtifact case. ResultOnly is safe even
-	// for exact-tracking runs: those ride on a detector (Setup != nil),
-	// which makes them elide-ineligible inside the machine layer.
+	// fan-out). ResultOnly is safe even for exact-tracking runs: those
+	// ride on a detector (Setup != nil), which makes them elide-ineligible
+	// inside the machine layer.
 	eng := opts.engine()
 	workers := opts.ReplayWorkers
 	if workers <= 0 {
@@ -275,17 +264,17 @@ func simulate(opts Options, keys []engine.SimKey, keepMachine bool) ([]*engine.A
 	}
 	outs, stats, err := machine.SimulateVariantsOpts(tr, variants, machine.VariantsOptions{
 		Workers:    workers,
-		ResultOnly: !keepMachine,
+		ResultOnly: !events,
 	})
 	if err != nil {
 		return nil, err
 	}
 	eng.NoteReplay(stats)
-	arts := make([]*engine.Artifact, len(outs))
+	runs := make([]engine.Run, len(outs))
 	for i := range outs {
-		arts[i] = artifactFor(outs[i].M, outs[i].Res, exacts[i], keepMachine)
+		runs[i] = engine.Run{M: outs[i].M, Res: outs[i].Res, Exact: exacts[i]}
 	}
-	return arts, nil
+	return runs, nil
 }
 
 // simVariants submits keys — all over one trace — as a single batch:
@@ -294,12 +283,12 @@ func simulate(opts Options, keys []engine.SimKey, keepMachine bool) ([]*engine.A
 // the shared front end once for the whole batch. The returned artifacts
 // align with keys.
 func simVariants(opts Options, keys []engine.SimKey, need engine.Need) ([]*engine.Artifact, error) {
-	return opts.engine().SimVariantsCtx(opts.Ctx, keys, need, func(miss []int) ([]*engine.Artifact, error) {
+	return opts.engine().SimVariantsCtx(opts.Ctx, keys, need, func(miss []int) ([]engine.Run, error) {
 		sub := make([]engine.SimKey, len(miss))
 		for j, i := range miss {
 			sub[j] = keys[i]
 		}
-		return simulate(opts, sub, need&engine.NeedMachine != 0)
+		return simulate(opts, sub, need&engine.NeedHarvest != 0)
 	})
 }
 

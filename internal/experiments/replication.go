@@ -42,13 +42,14 @@ func Replication(opts Options) (*ReplicationResult, error) {
 		// The monolithic baseline and plain clustered schedules resolve
 		// to the same schedule-cache keys Figure 2 produces, so a shared
 		// engine replays none of them here. Replicated schedules stay on
-		// the direct path: they need per-instruction placements (replica
-		// sets), which the cache deliberately does not retain.
-		a, err := sim(opts, bench, 1, StackDepBased, false, engine.NeedMachine)
+		// the direct path over the cached harvest: they need
+		// per-instruction placements (replica sets), which the schedule
+		// cache deliberately does not retain.
+		a, err := sim(opts, bench, 1, StackDepBased, false, engine.NeedHarvest)
 		if err != nil {
 			return o, err
 		}
-		in := listsched.FromMachineRun(a.Machine())
+		in := *a.Harvest()
 		pri := listsched.NewOracle(in)
 		ss, err := idealSchedules(opts, bench, StackDepBased, false, oracleSweepSpecs(opts.Fwd))
 		if err != nil {
