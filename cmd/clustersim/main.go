@@ -70,6 +70,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -240,14 +241,12 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 1 && args[0] == "all" {
-		args = []string{"config", "fig2", "fig2-attrib", "fig4", "fig5", "fig6",
-			"fig8", "fig14", "fig15", "loc-oracle", "consumers", "fwd-sweep", "stall-sweep",
-			"slack", "detector-compare", "window-sweep", "bandwidth-sweep", "replication", "icost", "group-steer", "predictor-sweep", "workloads", "future-work"}
+		args = allOrder
 	}
 	failed := false
 	for _, exp := range args {
 		start := time.Now()
-		if err := run(exp, opts); err != nil {
+		if err := run(os.Stdout, exp, opts); err != nil {
 			failed = true
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "clustersim: %s: %v\n", exp, err)
@@ -271,23 +270,14 @@ func main() {
 	}
 }
 
-// fig5Cache shares the expensive focused-policy runs between fig5 and
-// fig6 when both are requested in one invocation.
-var fig5Cache *experiments.Figure5Result
+// allOrder is what `clustersim all` runs, in order.
+var allOrder = []string{"config", "fig2", "fig2-attrib", "fig4", "fig5", "fig6",
+	"fig8", "fig14", "fig15", "loc-oracle", "consumers", "fwd-sweep", "stall-sweep",
+	"slack", "detector-compare", "window-sweep", "bandwidth-sweep", "replication", "icost", "group-steer", "predictor-sweep", "workloads", "future-work"}
 
-func fig5(opts experiments.Options) (*experiments.Figure5Result, error) {
-	if fig5Cache != nil {
-		return fig5Cache, nil
-	}
-	r, err := experiments.Figure5(opts)
-	if err == nil {
-		fig5Cache = r
-	}
-	return r, err
-}
-
-func run(exp string, opts experiments.Options) error {
-	w := os.Stdout
+// run renders experiment exp to w. Figures 5 and 6 read the same cached
+// analyses, so asking for both analyzes once.
+func run(w io.Writer, exp string, opts experiments.Options) error {
 	switch exp {
 	case "config":
 		experiments.ConfigTable(w)
@@ -310,13 +300,13 @@ func run(exp string, opts experiments.Options) error {
 		}
 		r.Render(w)
 	case "fig5":
-		r, err := fig5(opts)
+		r, err := experiments.Figure5(opts)
 		if err != nil {
 			return err
 		}
 		r.Render(w)
 	case "fig6":
-		r, err := fig5(opts)
+		r, err := experiments.Figure5(opts)
 		if err != nil {
 			return err
 		}

@@ -50,45 +50,10 @@ func writeReport(path string, opts experiments.Options) error {
 	for _, exp := range allExperiments {
 		fmt.Fprintf(&buf, "\n## %s\n\n```\n", exp.title)
 		start := time.Now()
-		// run prints to stdout; capture via a pipe-free redirect by
-		// temporarily swapping the writer used in run().
-		out, err := captureRun(exp.name, opts)
-		if err != nil {
+		if err := run(&buf, exp.name, opts); err != nil {
 			return fmt.Errorf("%s: %w", exp.name, err)
 		}
-		buf.WriteString(out)
 		fmt.Fprintf(&buf, "```\n\n_%s took %.1fs._\n", exp.name, time.Since(start).Seconds())
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// captureRun runs one experiment and returns its rendered output.
-func captureRun(exp string, opts experiments.Options) (string, error) {
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		return "", err
-	}
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		var b bytes.Buffer
-		buf := make([]byte, 4096)
-		for {
-			n, err := r.Read(buf)
-			if n > 0 {
-				b.Write(buf[:n])
-			}
-			if err != nil {
-				break
-			}
-		}
-		done <- b.String()
-	}()
-	runErr := run(exp, opts)
-	w.Close()
-	os.Stdout = old
-	out := <-done
-	r.Close()
-	return out, runErr
 }

@@ -7,3 +7,6 @@ func SetMaxStepsPerInst(n int64) (restore func()) {
 	maxStepsPerInst = n
 	return func() { maxStepsPerInst = old }
 }
+
+// NthSmallest exposes the median selection for its differential test.
+var NthSmallest = nthSmallest

@@ -1,10 +1,11 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"clustersim/internal/machine"
 )
@@ -191,12 +192,14 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		return s
 	}
 
-	sorted := make([]int64, n)
-	copy(sorted, slack)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	s.MedianSlack = sorted[n/2]
+	s.MedianSlack = nthSmallest(slices.Clone(slack), n/2)
 
-	perPC := map[uint64][]int64{}
+	// Number the static instructions in first-seen order: slot[i] is
+	// instance i's, count[k] how many instances static k has.
+	slotOf := map[uint64]int32{}
+	var pcs []uint64
+	var count []int32
+	slot := make([]int32, n)
 	var sum float64
 	var zero, geFwd, ge10 int
 	var misBr, misBrZero int
@@ -212,7 +215,15 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 			ge10++
 		}
 		pc := tr.Insts[i].PC
-		perPC[pc] = append(perPC[pc], slack[i])
+		k, ok := slotOf[pc]
+		if !ok {
+			k = int32(len(pcs))
+			slotOf[pc] = k
+			pcs = append(pcs, pc)
+			count = append(count, 0)
+		}
+		slot[i] = k
+		count[k]++
 		if ev[i].Mispredicted {
 			misBr++
 			if slack[i] == 0 {
@@ -228,16 +239,31 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		s.BimodalBranchFrac = float64(misBrZero) / float64(misBr)
 	}
 
-	// Sum in PC order: in map order the float sums, and so the cached
+	// Lay the slack values out grouped by static instruction, PCs
+	// ascending and each PC's values in program order, then sum in that
+	// order: in any other order the float sums, and so the cached
 	// summary, would differ between runs in their last bits.
-	pcs := make([]uint64, 0, len(perPC))
-	for pc := range perPC {
-		pcs = append(pcs, pc)
+	byPC := make([]int32, len(pcs))
+	for k := range byPC {
+		byPC[k] = int32(k)
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	slices.SortFunc(byPC, func(a, b int32) int { return cmp.Compare(pcs[a], pcs[b]) })
+	next := make([]int32, len(pcs))
+	var off int32
+	for _, k := range byPC {
+		next[k] = off
+		off += count[k]
+	}
+	grouped := make([]int64, n)
+	for i, k := range slot {
+		grouped[next[k]] = slack[i]
+		next[k]++
+	}
 	var weighted, weight float64
-	for _, pc := range pcs {
-		xs := perPC[pc]
+	off = 0
+	for _, k := range byPC {
+		xs := grouped[off : off+count[k]]
+		off += count[k]
 		if len(xs) < 8 {
 			continue
 		}
@@ -259,4 +285,37 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		s.StaticStdDev = weighted / weight
 	}
 	return s
+}
+
+// nthSmallest returns the k-th smallest of xs (0-based), reordering xs.
+// It is a quickselect with three-way partitioning, so the long runs of
+// equal values slack distributions have (zero above all) cost one pass.
+func nthSmallest(xs []int64, k int) int64 {
+	lo, hi := 0, len(xs)
+	for {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		p := max(min(a, b), min(max(a, b), c)) // median of three
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < p:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				xs[i], xs[gt] = xs[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
 }

@@ -2,6 +2,7 @@ package critpath_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"clustersim/internal/critpath"
@@ -216,6 +217,55 @@ func TestSlackSummaryOnWorkload(t *testing.T) {
 	// argument for LoC over slack).
 	if s.StaticStdDev < 1 {
 		t.Errorf("per-PC slack stddev %v — implausibly static", s.StaticStdDev)
+	}
+}
+
+// TestSummarizeSlackPinned pins whole summaries, float bits included:
+// cached analyses are keyed on the run alone, so how the per-PC
+// statistics are grouped and summed must never move a value.
+func TestSummarizeSlackPinned(t *testing.T) {
+	want := map[string]critpath.SlackSummary{
+		"gcc": {MeanSlack: 157.0823794051487, ZeroFrac: 0.2781304673831542, GEFwdFrac: 0.7170207448137965,
+			GE10Frac: 0.6917270682329417, MedianSlack: 117, StaticStdDev: 103.54614737511318, BimodalBranchFrac: 0.9795918367346939},
+		"mcf": {MeanSlack: 747.52925, ZeroFrac: 0.19375, GEFwdFrac: 0.80625,
+			GE10Frac: 0.80625, MedianSlack: 961, StaticStdDev: 218.55142410777384, BimodalBranchFrac: 0.834733893557423},
+		"vpr": {MeanSlack: 106.39252149570086, ZeroFrac: 0.26939612077584485, GEFwdFrac: 0.717006598680264,
+			GE10Frac: 0.6864127174565087, MedianSlack: 58, StaticStdDev: 67.17207576889359, BimodalBranchFrac: 0.9854469854469855},
+	}
+	for bench, w := range want {
+		tr, _ := workload.Generate(bench, 20000, 1)
+		m, err := machine.New(machine.NewConfig(4), tr, steer.DepBased{}, machine.Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		slack, err := critpath.ComputeSlack(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := critpath.SummarizeSlack(m, slack); got != w {
+			t.Errorf("%s: summary %+v, want %+v", bench, got, w)
+		}
+	}
+}
+
+func TestNthSmallestMatchesSort(t *testing.T) {
+	rng := xrand.New(3)
+	for _, n := range []int{1, 2, 3, 10, 257, 4000} {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = int64(rng.Intn(12)) // heavy duplication, like slack's zeros
+			if rng.Intn(4) == 0 {
+				xs[i] = int64(rng.Intn(1000))
+			}
+		}
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		for _, k := range []int{0, n / 2, n - 1} {
+			if got := critpath.NthSmallest(slices.Clone(xs), k); got != sorted[k] {
+				t.Fatalf("n=%d k=%d: got %d, want %d", n, k, got, sorted[k])
+			}
+		}
 	}
 }
 

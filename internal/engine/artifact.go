@@ -33,15 +33,34 @@ type Artifact struct {
 	harvest *listsched.Input
 }
 
-// resultArtifact wraps a summary loaded from the disk cache or the
-// resume journal.
-func resultArtifact(res machine.Result) *Artifact {
-	return &Artifact{Res: res}
+// storedArtifact rebuilds an artifact from a disk-cache entry or a
+// resume-journal record: the result and, when one was stored, the exact
+// tracker's table.
+func storedArtifact(res machine.Result, table *[][3]uint64) (*Artifact, error) {
+	a := &Artifact{Res: res}
+	if table != nil {
+		x, err := predictor.ExactFromTable(*table)
+		if err != nil {
+			return nil, err
+		}
+		a.exact = x
+	}
+	return a, nil
+}
+
+// exactTable is what storedArtifact reads back: the exact tracker's
+// table, nil without one.
+func (a *Artifact) exactTable() *[][3]uint64 {
+	if a.exact == nil {
+		return nil
+	}
+	t := a.exact.Table()
+	return &t
 }
 
 // Exact returns the unlimited-precision criticality tracker (nil unless
-// the job's key set TrackExact and the artifact came from a run rather
-// than the disk cache).
+// the job's key set TrackExact; an entry stored before trackers were
+// persisted carries none and is re-simulated for NeedExact).
 func (a *Artifact) Exact() *predictor.Exact { return a.exact }
 
 // Harvest returns the list scheduler's input harvested from the run

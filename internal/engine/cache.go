@@ -138,9 +138,10 @@ func (c *memCache) len() int { return c.ll.Len() }
 
 // diskCache persists artifacts across processes, keyed by the hash of
 // the canonical key string. Traces round-trip through the binary trace
-// codec; simulation results are stored as JSON envelopes. Harvests and
-// exact trackers are never persisted — a disk hit can only satisfy
-// NeedResult.
+// codec; simulation results — with the exact criticality tracker of a
+// TrackExact run — critical-path summaries and schedule summaries are
+// stored as JSON envelopes. Harvests are never persisted — a disk hit
+// can satisfy NeedResult and NeedExact, never NeedHarvest.
 //
 // The disk layer is an accelerator, never a dependency, and every
 // failure mode degrades instead of propagating:
@@ -329,10 +330,14 @@ func (d *diskCache) writeEntry(path string, payload []byte) {
 
 // resultEnvelope is the on-disk simulation-result format. The canonical
 // key is stored alongside the payload and verified on load, guarding
-// against hash collisions and scheme changes.
+// against hash collisions and scheme changes. Exact is the run's exact
+// criticality tracker (predictor.Exact.Table) for TrackExact runs — a
+// pointer, so a tracker that saw no epoch still encodes, as []; an entry
+// written without it serves NeedResult only.
 type resultEnvelope struct {
 	Key    string
 	Result machine.Result
+	Exact  *[][3]uint64 `json:",omitempty"`
 }
 
 func (d *diskCache) resultPath(canon string) string {
@@ -413,24 +418,31 @@ func (d *diskCache) storeSched(canon string, ss *SchedSummary) {
 	d.writeEntry(d.schedPath(canon), payload)
 }
 
-func (d *diskCache) loadResult(key SimKey) (machine.Result, bool) {
+// loadResult loads key's result artifact; an envelope whose key or
+// exact table does not check out quarantines.
+func (d *diskCache) loadResult(key SimKey) (*Artifact, bool) {
 	canon := key.String()
 	path := d.resultPath(canon)
 	payload, ok := d.readEntry(path, maxJSONPayload)
 	if !ok {
-		return machine.Result{}, false
+		return nil, false
 	}
 	var env resultEnvelope
 	if err := json.Unmarshal(payload, &env); err != nil || env.Key != canon {
 		d.quarantine(path)
-		return machine.Result{}, false
+		return nil, false
 	}
-	return env.Result, true
+	a, err := storedArtifact(env.Result, env.Exact)
+	if err != nil {
+		d.quarantine(path)
+		return nil, false
+	}
+	return a, true
 }
 
-func (d *diskCache) storeResult(key SimKey, res machine.Result) {
+func (d *diskCache) storeResult(key SimKey, a *Artifact) {
 	canon := key.String()
-	payload, err := json.Marshal(resultEnvelope{Key: canon, Result: res})
+	payload, err := json.Marshal(resultEnvelope{Key: canon, Result: a.Res, Exact: a.exactTable()})
 	if err != nil {
 		d.fail(Fatal(err))
 		return

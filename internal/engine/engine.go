@@ -18,7 +18,8 @@
 //     derived values only — results, harvests, summaries — and machines
 //     are recycled as soon as their derived values are taken),
 //  2. an optional on-disk cache (traces via the binary trace codec,
-//     results as JSON, every entry CRC-framed; corrupt entries are
+//     results with their exact trackers, critical-path and schedule
+//     summaries as JSON, every entry CRC-framed; corrupt entries are
 //     quarantined and recomputed, and repeated I/O failures degrade the
 //     layer to memory-only) that survives across processes,
 //  3. a singleflight table so concurrent submissions of one key run the
@@ -463,9 +464,11 @@ func (e *Engine) cacheStore(memKey string, st *trace.Store, resident int64) {
 }
 
 // Sim returns the artifact for key, simulating with run on a cache miss.
-// need declares which products the caller will read: a result-only cache
-// entry (from disk, or published for a NeedResult submission) satisfies
-// NeedResult but forces a re-simulation for NeedHarvest/NeedExact.
+// need declares which products the caller will read: a cache entry
+// without a harvest (every disk entry, or one published for a
+// NeedResult submission) satisfies NeedResult — and NeedExact when it
+// carries the exact tracker — but forces a re-simulation for
+// NeedHarvest.
 // Concurrent submissions of one key — e.g. two figure drivers sharing a
 // focused-stack run — simulate once and share the artifact.
 //
@@ -505,7 +508,8 @@ func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (
 	}
 }
 
-// cachedSim serves key from memory or — for pure-result needs — from
+// cachedSim serves key from memory or — for needs the disk entry
+// carries (the result, and the exact tracker of a TrackExact run) — from
 // the disk cache, counting the hit; nil means a miss.
 func (e *Engine) cachedSim(key SimKey, need Need) *Artifact {
 	canon := key.String()
@@ -520,14 +524,13 @@ func (e *Engine) cachedSim(key SimKey, need Need) *Artifact {
 		return ent.art
 	}
 	e.mu.Unlock()
-	if need&^NeedResult == 0 && e.diskAvailable() {
-		if res, ok := e.disk.loadResult(key); ok {
-			a := resultArtifact(res)
+	if need&derived == 0 && e.diskAvailable() {
+		if a, ok := e.disk.loadResult(key); ok && a.satisfies(need) {
 			e.mu.Lock()
 			e.mem.putSim(canon, a)
 			e.mu.Unlock()
 			e.cSimDiskHit.Inc()
-			e.journalResult(canon, key.Insts, res)
+			e.journalResult(canon, key.Insts, a)
 			return a
 		}
 	}
@@ -647,7 +650,8 @@ func (e *Engine) lead(ctx context.Context, key SimKey, c *call, run func() (Run,
 	return &flight{art: a, crit: cs}, nil
 }
 
-// publish caches a freshly simulated artifact and persists its result.
+// publish caches a freshly simulated artifact and persists its result
+// and exact tracker.
 // A resident artifact that carries a harvest the new one lacks stays in
 // place: both describe the same pure run, and the resident one serves
 // more.
@@ -659,9 +663,9 @@ func (e *Engine) publish(key SimKey, a *Artifact) {
 	}
 	e.mu.Unlock()
 	if e.diskAvailable() {
-		e.disk.storeResult(key, a.Res)
+		e.disk.storeResult(key, a)
 	}
-	e.journalResult(canon, key.Insts, a.Res)
+	e.journalResult(canon, key.Insts, a)
 }
 
 // doOnce collapses concurrent executions of one key into a single call;

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"clustersim/internal/machine"
+	"clustersim/internal/predictor"
 	"clustersim/internal/steer"
 	"clustersim/internal/trace"
 	"clustersim/internal/workload"
@@ -233,6 +236,131 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	}
 }
 
+// exactKey is testSimKey(seed) with exact tracking; runExact simulates
+// it, returning a tracker trained on the run's retired PCs.
+func exactKey(seed uint64) SimKey {
+	k := testSimKey(seed)
+	k.TrackExact = true
+	return k
+}
+
+func runExact(seed uint64) (Run, error) {
+	r, err := runTiny(seed)
+	if err != nil {
+		return r, err
+	}
+	r.Exact = predictor.NewExact()
+	for i, in := range r.M.Trace().Insts {
+		r.Exact.Train(in.PC, i%3 == 0)
+	}
+	return r, nil
+}
+
+// TestDiskExactRoundTrip: a TrackExact run's disk entry carries its
+// exact tracker, so a fresh engine serves NeedExact without simulating,
+// with a tracker that reads exactly as the simulated one.
+func TestDiskExactRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	a1, err := New(Config{CacheDir: dir}).Sim(exactKey(1), NeedResult, func() (Run, error) { return runExact(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := New(Config{CacheDir: dir})
+	a2, err := e2.Sim(exactKey(1), NeedExact, func() (Run, error) {
+		t.Error("run must not be called on a disk hit")
+		return Run{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a2.Res != a1.Res || !reflect.DeepEqual(a2.Exact().Table(), a1.Exact().Table()) ||
+		!reflect.DeepEqual(a2.Exact().Histogram(20), a1.Exact().Histogram(20)) {
+		t.Error("disk-loaded artifact differs from the simulated one")
+	}
+	if s := e2.Summary(); s.SimDiskHits != 1 || s.SimMisses != 0 {
+		t.Errorf("disk-hits/misses = %d/%d, want 1/0", s.SimDiskHits, s.SimMisses)
+	}
+}
+
+// writeResultEntry plants a framed result envelope for key, as an older
+// binary or a damaged writer would have left it.
+func writeResultEntry(t *testing.T, dir string, key SimKey, res machine.Result, table *[][3]uint64) {
+	t.Helper()
+	payload, err := json.Marshal(resultEnvelope{Key: key.String(), Result: res, Exact: table})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &diskCache{dir: dir}
+	if err := os.WriteFile(d.resultPath(key.String()), encodeFrame(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskResultWithoutExactTable: an entry written before trackers were
+// persisted still serves NeedResult; for NeedExact it is a miss that
+// simulates once and rewrites the entry with the table, so the next
+// process hits.
+func TestDiskResultWithoutExactTable(t *testing.T) {
+	dir := t.TempDir()
+	want, err := runExact(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeResultEntry(t, dir, exactKey(1), want.Res, nil)
+
+	var runs atomic.Int64
+	run := func() (Run, error) {
+		runs.Add(1)
+		return runExact(1)
+	}
+	e := New(Config{CacheDir: dir})
+	if a, err := e.Sim(exactKey(1), NeedResult, run); err != nil || a.Res != want.Res || a.Exact() != nil {
+		t.Fatalf("NeedResult from an old-format entry: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if a, err := e.Sim(exactKey(1), NeedExact, run); err != nil || a.Exact() == nil {
+			t.Fatalf("NeedExact: %v", err)
+		}
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("NeedExact over an old-format entry simulated %d times, want 1", runs.Load())
+	}
+	e2 := New(Config{CacheDir: dir})
+	if _, err := e2.Sim(exactKey(1), NeedExact, run); err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 1 {
+		t.Error("the rewritten entry did not serve NeedExact")
+	}
+}
+
+// TestDiskCorruptExactTableQuarantined: an entry whose exact table
+// fails validation (here, rows out of PC order) is quarantined and the
+// key recomputed, never served.
+func TestDiskCorruptExactTableQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	want, err := runExact(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeResultEntry(t, dir, exactKey(1), want.Res, &[][3]uint64{{8, 1, 0}, {4, 1, 1}})
+	var runs atomic.Int64
+	e := New(Config{CacheDir: dir})
+	a, err := e.Sim(exactKey(1), NeedResult, func() (Run, error) {
+		runs.Add(1)
+		return runExact(1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 1 || !reflect.DeepEqual(a.Exact().Table(), want.Exact.Table()) {
+		t.Errorf("corrupt entry: %d simulations, want 1 with the recomputed tracker", runs.Load())
+	}
+	if s := e.Summary(); s.Quarantines != 1 || s.SimDiskHits != 0 {
+		t.Errorf("quarantines/disk-hits = %d/%d, want 1/0", s.Quarantines, s.SimDiskHits)
+	}
+}
+
 func TestDiskTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{CacheDir: dir})
@@ -319,13 +447,13 @@ func TestEvictionUnderPressure(t *testing.T) {
 
 func TestMemCacheEviction(t *testing.T) {
 	c := newMemCache(2 * baseCost)
-	c.put(&entry{key: "a", kind: kindSim, art: resultArtifact(machine.Result{}), cost: baseCost})
-	c.put(&entry{key: "b", kind: kindSim, art: resultArtifact(machine.Result{}), cost: baseCost})
+	c.put(&entry{key: "a", kind: kindSim, art: &Artifact{}, cost: baseCost})
+	c.put(&entry{key: "b", kind: kindSim, art: &Artifact{}, cost: baseCost})
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	c.get("a") // refresh a: b becomes LRU
-	c.put(&entry{key: "c", kind: kindSim, art: resultArtifact(machine.Result{}), cost: baseCost})
+	c.put(&entry{key: "c", kind: kindSim, art: &Artifact{}, cost: baseCost})
 	if c.get("b") != nil {
 		t.Error("LRU entry b survived over-budget insert")
 	}

@@ -7,6 +7,7 @@ import (
 
 	"clustersim/internal/machine"
 	"clustersim/internal/metrics"
+	"clustersim/internal/predictor"
 	"clustersim/internal/workload"
 )
 
@@ -31,7 +32,10 @@ func seedEntries(tb testing.TB) (traceBytes, resultBytes, anaBytes, schedBytes [
 		tb.Fatal(err)
 	}
 	d.storeTrace(testTraceKey(1), tr)
-	d.storeResult(testSimKey(1), machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400})
+	exact := predictor.NewExact()
+	exact.Train(0x40, true)
+	exact.Train(0x44, false)
+	d.storeResult(testSimKey(1), &Artifact{Res: machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400}, exact: exact})
 	d.storeAnalysis(analysisCanon(testSimKey(1)), &CritSummary{})
 	d.storeSched("sched-key", &SchedSummary{Insts: 300, Makespan: 99})
 	read := func(path string) []byte {
@@ -142,6 +146,7 @@ func FuzzJournalReplay(f *testing.F) {
 	// real record stream and with raw cache bytes (also framed).
 	rec, _ := json.Marshal(journalRecord{
 		Kind: recResult, Key: testSimKey(1).String(), Insts: testInsts, Result: &machine.Result{Insts: 300},
+		Exact: &[][3]uint64{{0x40, 2, 1}},
 	})
 	stream := append(encodeFrame(rec), encodeFrame(rec)...)
 	addSeedVariants(f, stream)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"clustersim/internal/faultinject"
@@ -15,12 +16,12 @@ import (
 
 // The run journal is the engine's checkpoint/resume layer: an
 // append-only file of CRC-framed JSON records, one per completed
-// derived value (simulation result, critical-path summary, schedule
-// summary), fsync'd after every append. Unlike the disk cache — an
-// accelerator that may be absent, degraded or quarantined — the journal
-// is a write-ahead log of this sweep's completed keys: replaying it
-// into the memory cache lets `clustersim -resume` recompute only the
-// keys the interrupted run never finished.
+// derived value (simulation result with its exact tracker, critical-path
+// summary, schedule summary), fsync'd after every append. Unlike the
+// disk cache — an accelerator that may be absent, degraded or
+// quarantined — the journal is a write-ahead log of this sweep's
+// completed keys: replaying it into the memory cache lets `clustersim
+// -resume` recompute only the keys the interrupted run never finished.
 //
 // Replay follows write-ahead-log semantics: records are restored in
 // order up to the first invalid frame (a torn tail from a crash or an
@@ -50,8 +51,11 @@ type journalRecord struct {
 	Key    string
 	Insts  int             `json:",omitempty"`
 	Result *machine.Result `json:",omitempty"`
-	Crit   *CritSummary    `json:",omitempty"`
-	Sched  *SchedSummary   `json:",omitempty"`
+	// Exact is a result record's exact-tracker table (TrackExact runs;
+	// see resultEnvelope.Exact).
+	Exact *[][3]uint64  `json:",omitempty"`
+	Crit  *CritSummary  `json:",omitempty"`
+	Sched *SchedSummary `json:",omitempty"`
 }
 
 type journal struct {
@@ -93,6 +97,16 @@ func (e *Engine) OpenJournal(path string, resume bool) (int, error) {
 	if err != nil {
 		return 0, Fatal(fmt.Errorf("engine: open journal: %w", err))
 	}
+	// The file may have just been created or truncated: make its
+	// directory entry durable before any record is appended through it.
+	err = faultinject.Err("journal.dirsync")
+	if err == nil {
+		err = SyncDir(filepath.Dir(path))
+	}
+	if err != nil {
+		f.Close()
+		return 0, Fatal(fmt.Errorf("engine: sync journal dir: %w", err))
+	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -103,6 +117,25 @@ func (e *Engine) OpenJournal(path string, resume bool) (int, error) {
 		return 0, Fatal(fmt.Errorf("engine: journal already open"))
 	}
 	return restored, nil
+}
+
+// SyncDir fsyncs a directory. Creating, truncating or renaming a file
+// only makes it durable once the parent directory's entry reaches disk
+// too; without this a post-power-loss mount can resurrect the old inode,
+// dropping every fsynced record written since — a loss a kill -9 test
+// can never see because the page cache survives process death. Exported
+// for the server's job log, which keeps the same discipline.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	serr := d.Sync()
+	cerr := d.Close()
+	if serr != nil {
+		return serr
+	}
+	return cerr
 }
 
 // CloseJournal syncs and closes the journal (a no-op when none is open)
@@ -178,7 +211,11 @@ func (e *Engine) restoreRecord(rec journalRecord) bool {
 		if rec.Result == nil {
 			return false
 		}
-		e.mem.putSim(rec.Key, resultArtifact(*rec.Result))
+		a, err := storedArtifact(*rec.Result, rec.Exact)
+		if err != nil {
+			return false
+		}
+		e.mem.putSim(rec.Key, a)
 	case recAnalysis:
 		if rec.Crit == nil {
 			return false
@@ -245,10 +282,11 @@ func (j *journal) write(framed []byte) error {
 	return j.f.Sync()
 }
 
-// journalResult records one completed simulation result.
-func (e *Engine) journalResult(canon string, insts int, res machine.Result) {
+// journalResult records one completed simulation result and its exact
+// tracker.
+func (e *Engine) journalResult(canon string, insts int, a *Artifact) {
 	if j := e.journal.Load(); j != nil {
-		j.append(e, journalRecord{Kind: recResult, Key: canon, Insts: insts, Result: &res})
+		j.append(e, journalRecord{Kind: recResult, Key: canon, Insts: insts, Result: &a.Res, Exact: a.exactTable()})
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -225,7 +226,7 @@ func TestJournalTornAppendRolledBack(t *testing.T) {
 	}
 	faultinject.Enable(seed, 0.3)
 	for s := 1; s <= appends; s++ {
-		e.journalResult(testSimKey(uint64(s)).String(), testInsts, machine.Result{Insts: int64(s)})
+		e.journalResult(testSimKey(uint64(s)).String(), testInsts, &Artifact{Res: machine.Result{Insts: int64(s)}})
 	}
 	faultinject.Disable()
 	if err := e.CloseJournal(); err != nil {
@@ -273,7 +274,7 @@ func TestJournalCloseRacesAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := testSimKey(uint64(w*1000 + i)).String()
-				e.journalResult(key, testInsts, machine.Result{Insts: int64(i)})
+				e.journalResult(key, testInsts, &Artifact{Res: machine.Result{Insts: int64(i)}})
 				_ = e.JournalPath()
 				first.Do(func() { close(appended) })
 			}
@@ -317,4 +318,26 @@ func TestCloseJournalReportsCloseError(t *testing.T) {
 	if err := e.CloseJournal(); err == nil {
 		t.Fatal("CloseJournal on a failed file returned nil")
 	}
+}
+
+// TestOpenJournalSurfacesDirSyncFailure: OpenJournal creates or
+// truncates the file, so the directory entry must be fsynced before any
+// record goes in. A failed directory fsync fails the open as Fatal and
+// leaves no journal attached.
+func TestOpenJournalSurfacesDirSyncFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	e := New(Config{})
+	faultinject.Enable(1, 1)
+	_, err := e.OpenJournal(path, false)
+	faultinject.Disable()
+	if !errors.Is(err, ErrFatal) || !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("OpenJournal with a failing directory fsync returned %v, want a Fatal injected error", err)
+	}
+	if e.JournalPath() != "" {
+		t.Fatal("a journal stayed attached after the failed open")
+	}
+	if _, err := e.OpenJournal(path, false); err != nil {
+		t.Fatalf("reopen after the fault cleared: %v", err)
+	}
+	e.CloseJournal()
 }

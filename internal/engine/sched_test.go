@@ -71,8 +71,11 @@ func TestSchedulesBatchesMissesAndCaches(t *testing.T) {
 
 func TestSchedulesDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	keys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("binary", 8)}
-	want := []SchedSummary{{Insts: 7, Makespan: 41, CrossEdges: 3, DyadicCross: 1}, {Insts: 7, Makespan: 52}}
+	repl := testSchedKey("oracle", 2)
+	repl.Replicate = true
+	keys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("binary", 8), repl}
+	want := []SchedSummary{{Insts: 7, Makespan: 41, CrossEdges: 3, DyadicCross: 1}, {Insts: 7, Makespan: 52},
+		{Insts: 7, Makespan: 38, CrossEdges: 2, Replicas: 5}}
 
 	e1 := New(Config{Workers: 1, CacheDir: dir})
 	if _, err := e1.Schedules(keys, func(miss []int) ([]SchedSummary, error) {
@@ -95,8 +98,8 @@ func TestSchedulesDiskRoundTrip(t *testing.T) {
 			t.Fatalf("key %d: %+v from disk, want %+v", i, got[i], want[i])
 		}
 	}
-	if s := e2.Summary(); s.SchedDiskHits != 2 {
-		t.Errorf("disk hits %d, want 2", s.SchedDiskHits)
+	if s := e2.Summary(); s.SchedDiskHits != 3 {
+		t.Errorf("disk hits %d, want 3", s.SchedDiskHits)
 	}
 }
 
@@ -107,5 +110,25 @@ func TestSchedulesComputeSizeMismatch(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("accepted short compute result")
+	}
+}
+
+// TestSchedKeyFormStable pins the canonical form (and so the on-disk file
+// name) of a plain schedule key as written before SchedKey grew its
+// Replicate field: disk caches and resume journals from earlier binaries
+// must keep resolving. Replication only ever appends a field.
+func TestSchedKeyFormStable(t *testing.T) {
+	k := testSchedKey("oracle", 2)
+	const want = "v1|sim|bench=vpr|insts=1000|seed=1|fwd=2|epoch=0|clusters=1|stack=dep|exact=false" +
+		"|sched=v1|sc=2|sw=1|si=1|sf=1|sm=1|sfwd=2|pri=oracle"
+	if k.String() != want {
+		t.Errorf("SchedKey = %q, want %q", k.String(), want)
+	}
+	if got, wantHash := hashKey(k.String()), "e7fb453c290f47c9b6827e60ee8ef342"; got != wantHash {
+		t.Errorf("hashKey = %s, want %s", got, wantHash)
+	}
+	k.Replicate = true
+	if got := k.String(); got != want+"|repl=1" {
+		t.Errorf("replicated SchedKey = %q", got)
 	}
 }

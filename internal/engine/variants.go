@@ -7,9 +7,9 @@ import (
 )
 
 // SimVariants returns the simulation artifacts for keys, positionally
-// aligned. Hits are served from memory (or, for pure-result requests,
-// from the on-disk result summaries) under exactly the same rules as
-// Sim; compute receives the indices of the remaining misses (in key
+// aligned. Hits are served from memory (or, for requests without
+// NeedHarvest, from the on-disk result entries) under exactly the same
+// rules as Sim; compute receives the indices of the remaining misses (in key
 // order) and must return their finished runs in that order, under Sim's
 // run contract — typically one fused machine.SimulateVariants call over
 // the batch's shared trace, which is why the misses are batched instead of resolved one key at a

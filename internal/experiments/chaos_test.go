@@ -276,6 +276,42 @@ func TestKillAndResume(t *testing.T) {
 		restored, s.ResumeHits, s.SimMisses, firstMisses)
 }
 
+// TestResumeRestoresExactTrackers: journaled results carry their exact
+// criticality trackers, so Figure 8 after a resume simulates nothing and
+// renders what the journaled run rendered.
+func TestResumeRestoresExactTrackers(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "run.journal")
+	render := func(eng *engine.Engine) string {
+		r, err := Figure8(chaosOpts(eng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		r.Render(&buf)
+		return buf.String()
+	}
+	e1 := engine.New(engine.Config{Workers: 2})
+	if _, err := e1.OpenJournal(journal, false); err != nil {
+		t.Fatal(err)
+	}
+	want := render(e1)
+	if err := e1.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := engine.New(engine.Config{Workers: 2})
+	if _, err := e2.OpenJournal(journal, true); err != nil {
+		t.Fatal(err)
+	}
+	defer e2.CloseJournal()
+	if got := render(e2); got != want {
+		t.Errorf("Figure 8 after resume differs:\n--- journaled run\n%s\n--- resumed\n%s", want, got)
+	}
+	if s := e2.Summary(); s.SimMisses != 0 || s.ResumeHits == 0 {
+		t.Errorf("Figure 8 after resume: %d simulations, %d resume hits; want 0 and some", s.SimMisses, s.ResumeHits)
+	}
+}
+
 // TestChaosEnvGate documents the CLUSTERSIM_CHAOS_* env contract used by
 // the CI chaos job: the suite above enables injection explicitly, but a
 // plain `go test` run under the env vars must also come up enabled.

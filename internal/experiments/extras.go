@@ -36,10 +36,10 @@ func LoCOracle(opts Options) (*LoCOracleResult, error) {
 		// monolithic machine, via the detector's exact tracker; all 13
 		// variants (mono baseline + 3 cluster counts × 4 priorities) go
 		// through the schedule cache as one fused batch.
-		specs := []schedSpec{{1, opts.Fwd, PriOracle}}
+		specs := []schedSpec{{1, opts.Fwd, PriOracle, false}}
 		for _, k := range clusterCounts {
 			for _, name := range names {
-				specs = append(specs, schedSpec{k, opts.Fwd, name})
+				specs = append(specs, schedSpec{k, opts.Fwd, name, false})
 			}
 		}
 		ss, err := idealSchedules(opts, bench, StackFocused, true, specs)
@@ -151,7 +151,7 @@ func AttributeFigure2(opts Options) (*Figure2Attribution, error) {
 		// Same schedule key as Figure 2's 8x1w point, so with a shared
 		// engine this driver neither simulates nor reschedules anything.
 		ss, err := idealSchedules(opts, bench, StackDepBased, false,
-			[]schedSpec{{8, opts.Fwd, PriOracle}})
+			[]schedSpec{{8, opts.Fwd, PriOracle, false}})
 		if err != nil {
 			return [2]float64{}, err
 		}

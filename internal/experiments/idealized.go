@@ -9,14 +9,16 @@ import (
 )
 
 // schedSpec names one idealized-schedule variant of a harvest run: the
-// clustered resource model, the scheduler's forwarding latency and the
-// priority source by name. The priority is resolved deterministically
-// from the harvest artifact (the purity rule engine.SchedKey documents),
-// so a spec fully identifies its schedule.
+// clustered resource model, the scheduler's forwarding latency, the
+// priority source by name, and whether the scheduler may replicate
+// producers. The priority is resolved deterministically from the harvest
+// artifact (the purity rule engine.SchedKey documents), so a spec fully
+// identifies its schedule.
 type schedSpec struct {
 	clusters int
 	fwd      int
 	pri      string
+	repl     bool
 }
 
 // config derives the list-scheduler resource model for the spec.
@@ -49,14 +51,15 @@ func schedPriority(name string, oracle *listsched.Oracle, a *engine.Artifact) (l
 // and nothing is rescheduled; on misses the harvest — the scheduler
 // input taken from the run's event log, cached in place of the machine —
 // is simulated at most once (requesting the exact tracker only when a
-// missing priority needs it) and every missing variant replays through a
-// single pooled fused ScheduleVariants call over the shared dependence
+// missing priority needs it), every missing replicated variant runs
+// through listsched.RunReplicated, and the rest replay through a single
+// pooled fused ScheduleVariants call over the shared dependence
 // structure.
 func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, specs []schedSpec) ([]engine.SchedSummary, error) {
 	hk := simKey(opts, bench, 1, stack, trackExact)
 	keys := make([]engine.SchedKey, len(specs))
 	for i, sp := range specs {
-		keys[i] = engine.SchedKey{Harvest: hk, Config: sp.config(), Pri: sp.pri}
+		keys[i] = engine.SchedKey{Harvest: hk, Config: sp.config(), Pri: sp.pri, Replicate: sp.repl}
 	}
 	return opts.engine().SchedulesCtx(opts.Ctx, keys, func(miss []int) ([]engine.SchedSummary, error) {
 		need := engine.NeedHarvest
@@ -71,27 +74,43 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		}
 		in := *a.Harvest()
 		oracle := listsched.NewOracle(in)
-		variants := make([]listsched.Variant, len(miss))
+		out := make([]engine.SchedSummary, len(miss))
+		summarize := func(j int, s *listsched.Schedule) {
+			out[j] = engine.SchedSummary{
+				Insts:       in.Trace.Len(),
+				Makespan:    s.Makespan,
+				CrossEdges:  s.CrossEdges,
+				DyadicCross: s.DyadicCross,
+			}
+		}
+		var fused []int // positions in miss left to the fused pass
+		var variants []listsched.Variant
 		for j, i := range miss {
 			pri, err := schedPriority(specs[i].pri, oracle, a)
 			if err != nil {
 				return nil, err
 			}
-			variants[j] = listsched.Variant{Config: keys[i].Config, Pri: pri}
+			if !specs[i].repl {
+				fused = append(fused, j)
+				variants = append(variants, listsched.Variant{Config: keys[i].Config, Pri: pri})
+				continue
+			}
+			rs, err := listsched.RunReplicated(in, keys[i].Config, pri)
+			if err != nil {
+				return nil, err
+			}
+			summarize(j, &rs.Schedule)
+			out[j].Replicas = int64(len(rs.Replicas))
 		}
-		sch := listsched.NewScheduler()
-		defer sch.Recycle()
-		scheds, err := sch.ScheduleVariants(in, variants)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]engine.SchedSummary, len(miss))
-		for j := range scheds {
-			out[j] = engine.SchedSummary{
-				Insts:       in.Trace.Len(),
-				Makespan:    scheds[j].Makespan,
-				CrossEdges:  scheds[j].CrossEdges,
-				DyadicCross: scheds[j].DyadicCross,
+		if len(variants) > 0 {
+			sch := listsched.NewScheduler()
+			defer sch.Recycle()
+			scheds, err := sch.ScheduleVariants(in, variants)
+			if err != nil {
+				return nil, err
+			}
+			for v, j := range fused {
+				summarize(j, scheds[v])
 			}
 		}
 		return out, nil
@@ -103,9 +122,9 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 // forwarding latency fwd.
 func oracleSweepSpecs(fwd int) []schedSpec {
 	specs := make([]schedSpec, 0, 1+len(clusterCounts))
-	specs = append(specs, schedSpec{1, fwd, PriOracle})
+	specs = append(specs, schedSpec{1, fwd, PriOracle, false})
 	for _, k := range clusterCounts {
-		specs = append(specs, schedSpec{k, fwd, PriOracle})
+		specs = append(specs, schedSpec{k, fwd, PriOracle, false})
 	}
 	return specs
 }

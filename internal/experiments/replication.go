@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/engine"
-	"clustersim/internal/listsched"
 	"clustersim/internal/stats"
 )
 
@@ -36,39 +34,30 @@ func Replication(opts Options) (*ReplicationResult, error) {
 		replicas float64
 		insts    float64
 	}
+	// The monolithic baseline and plain clustered schedules resolve to
+	// the same schedule-cache keys Figure 2 produces; the replicated ones
+	// follow them in the same batch, over the same harvest.
+	specs := oracleSweepSpecs(opts.Fwd)
+	for _, k := range clusterCounts {
+		specs = append(specs, schedSpec{k, opts.Fwd, PriOracle, true})
+	}
 	outs, err := parBench(opts, func(bench string) (out, error) {
 		var o out
 		o.gains = make([]float64, len(clusterCounts))
-		// The monolithic baseline and plain clustered schedules resolve
-		// to the same schedule-cache keys Figure 2 produces, so a shared
-		// engine replays none of them here. Replicated schedules stay on
-		// the direct path over the cached harvest: they need
-		// per-instruction placements (replica sets), which the schedule
-		// cache deliberately does not retain.
-		a, err := sim(opts, bench, 1, StackDepBased, false, engine.NeedHarvest)
-		if err != nil {
-			return o, err
-		}
-		in := *a.Harvest()
-		pri := listsched.NewOracle(in)
-		ss, err := idealSchedules(opts, bench, StackDepBased, false, oracleSweepSpecs(opts.Fwd))
+		ss, err := idealSchedules(opts, bench, StackDepBased, false, specs)
 		if err != nil {
 			return o, err
 		}
 		mono := ss[0]
 		for i, k := range clusterCounts {
-			sp := schedSpec{k, opts.Fwd, PriOracle}
-			repl, err := listsched.RunReplicated(in, sp.config(), pri)
-			if err != nil {
-				return o, err
-			}
-			p := float64(ss[i+1].Makespan) / float64(mono.Makespan)
+			plain, repl := ss[1+i], ss[1+len(clusterCounts)+i]
+			p := float64(plain.Makespan) / float64(mono.Makespan)
 			r := float64(repl.Makespan) / float64(mono.Makespan)
 			o.gains[i] = p - r
 			if k == 8 {
 				o.row = [2]float64{p, r}
-				o.replicas = float64(len(repl.Replicas))
-				o.insts = float64(ss[i+1].Insts)
+				o.replicas = float64(repl.Replicas)
+				o.insts = float64(plain.Insts)
 			}
 		}
 		return o, nil

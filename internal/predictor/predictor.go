@@ -18,6 +18,8 @@ package predictor
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 
 	"clustersim/internal/xrand"
 )
@@ -215,6 +217,40 @@ func (e *Exact) Level(pc uint64) int {
 		lvl = LoCLevels - 1
 	}
 	return lvl
+}
+
+// Table returns the tracker's contents as (pc, total, critical) rows
+// sorted by PC — the form in which the engine persists it.
+func (e *Exact) Table() [][3]uint64 {
+	pcs := e.PCs()
+	slices.Sort(pcs)
+	t := make([][3]uint64, len(pcs))
+	for i, pc := range pcs {
+		t[i] = [3]uint64{pc, e.total[pc], e.critical[pc]}
+	}
+	return t
+}
+
+// ExactFromTable rebuilds a tracker from Table's rows, which must be
+// sorted by strictly increasing PC with 0 < total and critical <= total.
+// The rebuilt tracker answers Frac, Level, Seen and Histogram exactly as
+// the one the table was taken from.
+func ExactFromTable(t [][3]uint64) (*Exact, error) {
+	e := &Exact{critical: make(map[uint64]uint64), total: make(map[uint64]uint64, len(t))}
+	for i, row := range t {
+		pc, total, critical := row[0], row[1], row[2]
+		if i > 0 && pc <= t[i-1][0] {
+			return nil, fmt.Errorf("predictor: exact table row %d: pc %#x out of order", i, pc)
+		}
+		if total == 0 || critical > total {
+			return nil, fmt.Errorf("predictor: exact table row %d: %d critical of %d instances", i, critical, total)
+		}
+		e.total[pc] = total
+		if critical > 0 {
+			e.critical[pc] = critical
+		}
+	}
+	return e, nil
 }
 
 // Seen returns the number of instances observed for pc.

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -206,6 +207,43 @@ func TestPCsEnumeration(t *testing.T) {
 	pcs := e.PCs()
 	if len(pcs) != 2 {
 		t.Fatalf("PCs = %v", pcs)
+	}
+}
+
+func TestExactTableRoundTrip(t *testing.T) {
+	e := NewExact()
+	rng := xrand.New(7)
+	for i := 0; i < 5000; i++ {
+		e.Train(uint64(rng.Intn(300))*4, rng.Intn(5) == 0)
+	}
+	tab := e.Table()
+	got, err := ExactFromTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Table(), tab) {
+		t.Fatal("table does not round-trip")
+	}
+	if !reflect.DeepEqual(got.Histogram(20), e.Histogram(20)) {
+		t.Fatal("rebuilt tracker's histogram differs")
+	}
+	for pc := uint64(0); pc < 1300; pc += 4 {
+		if got.Frac(pc) != e.Frac(pc) || got.Level(pc) != e.Level(pc) || got.Seen(pc) != e.Seen(pc) {
+			t.Fatalf("pc %#x: rebuilt tracker reads differently", pc)
+		}
+	}
+}
+
+func TestExactFromTableRejectsMalformedRows(t *testing.T) {
+	for name, tab := range map[string][][3]uint64{
+		"unsorted":      {{8, 1, 0}, {4, 1, 0}},
+		"duplicate":     {{4, 1, 0}, {4, 1, 0}},
+		"no instances":  {{4, 0, 0}},
+		"over-critical": {{4, 2, 3}},
+	} {
+		if _, err := ExactFromTable(tab); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

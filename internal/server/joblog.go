@@ -144,7 +144,7 @@ func openJobLog(path string) (*jobLog, []jlRecord, int64, error) {
 	}
 	// The file may have just been created: make its directory entry
 	// durable before any accepted record is acknowledged through it.
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := engine.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, nil, torn, fmt.Errorf("server: sync job log dir: %w", err)
 	}
@@ -228,24 +228,6 @@ func (l *jobLog) rollback() error {
 	return l.f.Truncate(l.size)
 }
 
-// syncDir fsyncs a directory. Creating or renaming a file only makes it
-// durable once the parent directory's entry reaches disk too; without
-// this a post-power-loss mount can resurrect the old inode, dropping
-// every fsynced record written since — a loss the kill -9 chaos harness
-// can never see because the page cache survives process death.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
-}
-
 // compact atomically rewrites the log to exactly recs (the live state
 // after a replay), bounding growth across restarts: temp file, fsync,
 // rename over the original, reopen for append.
@@ -284,7 +266,7 @@ func (l *jobLog) compact(recs []jlRecord) error {
 	}
 	// The rename itself must survive power loss, or the directory entry
 	// reverts to the old inode and takes every later append with it.
-	if err := syncDir(dir); err != nil {
+	if err := engine.SyncDir(dir); err != nil {
 		return err
 	}
 	old := l.f

@@ -24,16 +24,18 @@ var ErrQueueClosed = errors.New("server: queue closed")
 // a tenant with weight 2 drains twice the work per unit of virtual time
 // as a tenant with weight 1. Ties break by submission order.
 //
-// Depth is bounded: push fails with ErrQueueFull once maxDepth jobs wait,
-// which is the server's admission control (the caller answers 429).
+// Depth is bounded: push (or reserve) fails with ErrQueueFull once
+// maxDepth jobs wait or hold a reservation, which is the server's
+// admission control (the caller answers 429).
 type wfq struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   jobHeap
-	vtime   float64            // virtual time: vft of the last popped job
-	lastVft map[string]float64 // per-tenant last assigned vft
+	mu       sync.Mutex
+	cond     *sync.Cond
+	items    jobHeap
+	vtime    float64            // virtual time: vft of the last popped job
+	lastVft  map[string]float64 // per-tenant last assigned vft
 	nextSeq  uint64
 	max      int
+	reserved int // slots held by reserve and not yet committed or released
 	closed   bool
 	draining bool
 }
@@ -47,16 +49,48 @@ func newWFQ(max int) *wfq {
 
 // push admits j for tenant weight w, stamping its virtual finish time.
 func (q *wfq) push(j *Job, weight float64) error {
-	if weight <= 0 {
-		weight = 1
+	if err := q.reserve(); err != nil {
+		return err
 	}
+	return q.commit(j, weight)
+}
+
+// reserve claims one slot of the depth bound without queueing anything,
+// so a submission can make its job durable before any runner can pop
+// it. Every successful reserve is followed by exactly one commit or
+// release.
+func (q *wfq) reserve() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || q.draining {
 		return ErrQueueClosed
 	}
-	if q.max > 0 && q.items.Len() >= q.max {
+	if q.max > 0 && q.items.Len()+q.reserved >= q.max {
 		return ErrQueueFull
+	}
+	q.reserved++
+	return nil
+}
+
+// release gives back a reserved slot whose job will not be queued.
+func (q *wfq) release() {
+	q.mu.Lock()
+	q.reserved--
+	q.mu.Unlock()
+}
+
+// commit queues j in a slot reserve claimed, stamping its virtual finish
+// time and making it poppable. It fails only once the queue has closed:
+// a draining queue still takes the job and leaves it queued.
+func (q *wfq) commit(j *Job, weight float64) error {
+	if weight <= 0 {
+		weight = 1
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.reserved--
+	if q.closed {
+		return ErrQueueClosed
 	}
 	start := q.vtime
 	if last := q.lastVft[j.Spec.Tenant]; last > start {

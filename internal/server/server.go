@@ -120,12 +120,16 @@ type Server struct {
 	sseActive atomic.Int64
 	drainCh   chan struct{} // closed when draining starts
 
-	cSubmitted, cCompleted, cFailed   *metrics.Counter
-	cCanceled, cRejected, cInvalid    *metrics.Counter
-	cStuckKilled, cLogErr             *metrics.Counter
-	cRestored, cRequeued              *metrics.Counter
-	cDrainPersisted, cDrainAborted    *metrics.Counter
-	tJob                              *metrics.Timer
+	cSubmitted, cCompleted, cFailed *metrics.Counter
+	cCanceled, cRejected, cInvalid  *metrics.Counter
+	cStuckKilled, cLogErr           *metrics.Counter
+	cRestored, cRequeued            *metrics.Counter
+	cDrainPersisted, cDrainAborted  *metrics.Counter
+	tJob                            *metrics.Timer
+
+	// acceptHook, when set (tests only), runs in a submission after its
+	// queue slot is reserved and before its accepted record is appended.
+	acceptHook func(*Job)
 }
 
 // New builds a Server from cfg. The returned server accepts submissions
@@ -717,7 +721,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.forgetLocked(id)
 		s.mu.Unlock()
 	}
-	if err := s.q.push(j, weight); err != nil {
+	if err := s.q.reserve(); err != nil {
 		reject()
 		s.cRejected.Inc()
 		if errors.Is(err, ErrQueueFull) {
@@ -729,17 +733,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Write-ahead: the accepted record must be durable before the client
-	// hears 202. On failure the job is withdrawn and the client retries.
+	// hears 202, and before any runner can pop the job — otherwise the
+	// job could start, and even finish, ahead of its own accepted
+	// record. On failure the job is withdrawn and the client retries.
+	if s.acceptHook != nil {
+		s.acceptHook(j)
+	}
 	if err := s.logAppend(acceptedRecord(j), true); err != nil {
-		j.requestCancel() // queued: finishes immediately; pop skips it
+		s.q.release()
 		reject()
 		s.cRejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusServiceUnavailable, "job log append failed: "+err.Error())
 		return
 	}
+	// The response describes the job as accepted: queued, since no
+	// runner can see it before commit.
+	snap := j.snapshot()
+	if err := s.q.commit(j, weight); err != nil {
+		// Closed since the reservation: like every job queued at Close,
+		// it stays accepted in the log and re-runs on the next start.
+		j.finish(StateCanceled, nil, "server shutting down")
+		s.cCanceled.Inc()
+		writeErr(w, http.StatusServiceUnavailable, "server shutting down")
+		return
+	}
 	s.cSubmitted.Inc()
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	writeJSON(w, http.StatusAccepted, snap)
 }
 
 // handleStatus reports a job's status; ?wait=5s long-polls until the job

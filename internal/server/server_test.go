@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -269,5 +271,112 @@ func TestClampReplayWorkers(t *testing.T) {
 	// A huge request is still capped at the socket share.
 	if got := srv.clampReplayWorkers(10_000); got != procs {
 		t.Errorf("oversized request: got %d, want %d", got, procs)
+	}
+}
+
+// TestSubmitQueuesOnlyAfterAcceptedIsDurable: a runner may not see a job
+// before its accepted record is in the job log. While the append is
+// held, the job holds a queue slot but is neither poppable nor started;
+// the 202 then reports it queued, and the log has accepted before
+// started.
+func TestSubmitQueuesOnlyAfterAcceptedIsDurable(t *testing.T) {
+	s, err := New(Config{
+		Engine:  engine.New(engine.Config{Workers: 1}),
+		JobLog:  filepath.Join(t.TempDir(), "joblog"),
+		Runners: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan *Job)
+	release := make(chan struct{})
+	s.acceptHook = func(j *Job) {
+		held <- j
+		<-release
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	type reply struct {
+		code int
+		st   jobStatus
+		err  error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		var r reply
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(
+			`{"tenant":"default","experiments":["fig2"],"benchmarks":["gzip"],"insts":1000}`))
+		if err == nil {
+			r.code = resp.StatusCode
+			r.err = json.NewDecoder(resp.Body).Decode(&r.st)
+			resp.Body.Close()
+		}
+		if r.err == nil {
+			r.err = err
+		}
+		replies <- r
+	}()
+
+	j := <-held
+	if d := s.q.depth(); d != 0 {
+		t.Errorf("queue depth %d while the accepted record is unwritten, want 0", d)
+	}
+	if st := j.currentState(); st != StateQueued {
+		t.Errorf("job %s while its accepted record is unwritten, want queued", st)
+	}
+	close(release)
+	r := <-replies
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.code != http.StatusAccepted || r.st.State != StateQueued {
+		t.Fatalf("submit answered HTTP %d in state %s, want 202 queued", r.code, r.st.State)
+	}
+	if st := waitTerminal(t, ts, r.st.ID); st.State != StateDone {
+		t.Fatalf("job ended %s", st.State)
+	}
+
+	s.mu.Lock()
+	path := s.jlog.path
+	s.mu.Unlock()
+	_, recs, _, err := openJobLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, rec := range recs {
+		kinds = append(kinds, rec.Kind)
+	}
+	if len(kinds) < 2 || kinds[0] != jlAccepted || kinds[1] != jlStarted {
+		t.Errorf("job log records %v, want accepted then started", kinds)
+	}
+}
+
+// TestFailedAcceptReleasesQueueSlot: a submission whose accepted record
+// cannot be written is refused and gives its reserved queue slot back,
+// so a full-size queue still admits the next submission.
+func TestFailedAcceptReleasesQueueSlot(t *testing.T) {
+	s, ts := newQueuedServer(t, Config{MaxQueue: 1, JobLog: filepath.Join(t.TempDir(), "joblog")})
+	sp := `{"tenant":"default","experiments":["fig2"],"benchmarks":["gzip"],"insts":1000}`
+	setBroken := func(b bool) {
+		s.jlog.mu.Lock()
+		s.jlog.broken = b
+		s.jlog.mu.Unlock()
+	}
+	setBroken(true)
+	if resp, data := postBody(t, ts, sp); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit with a failing job log: HTTP %d (%s), want 503", resp.StatusCode, data)
+	}
+	setBroken(false)
+	if resp, data := postBody(t, ts, sp); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after the log recovered: HTTP %d (%s), want 202", resp.StatusCode, data)
+	}
+	if st := s.StatsSnapshot(); st.QueueDepth != 1 || st.Submitted != 1 || st.Rejected != 1 {
+		t.Errorf("stats: depth=%d submitted=%d rejected=%d, want 1/1/1", st.QueueDepth, st.Submitted, st.Rejected)
 	}
 }
